@@ -9,7 +9,7 @@ l2-normalized fused feature feeding a one-vs-all linear SVM.
 
 from .cluster import ClassClusterMap, KMeansModel, LdaModel, TapReport
 from .convnet import NetParams, NetSpec, Network, Tap, TrainConfig
-from .fusion import FusedFeature, SvmModel
+from .fusion import SvmModel
 from .numkit import Rng, derive_seed
 from .pipeline import (
     DatasetHandle,
@@ -27,14 +27,13 @@ from .pipeline import (
     save_bundle,
     save_dataset,
 )
-from .subset import SelectorDecision, SubsetEnsemble, SubsetPartition
+from .subset import SubsetEnsemble, SubsetPartition
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ClassClusterMap",
     "DatasetHandle",
-    "FusedFeature",
     "KMeansModel",
     "LdaModel",
     "Metrics",
@@ -43,7 +42,6 @@ __all__ = [
     "NetSpec",
     "Network",
     "Rng",
-    "SelectorDecision",
     "StageGraph",
     "StageSpec",
     "SubsetEnsemble",

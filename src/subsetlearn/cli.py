@@ -37,7 +37,7 @@ def cmd_gen(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _system_name(cfg: RunConfig) -> str:
-    return f"{cfg.stage_graph().name}+subset({cfg.selector})"
+    return f"{cfg.stage_graph().name}+subset({cfg.system.selector})"
 
 
 def cmd_train(cfg: RunConfig, out_dir: Path, workers: int) -> int:
@@ -95,8 +95,7 @@ def cmd_cluster_report(cfg: RunConfig, out_dir: Path) -> int:
     images, labels = target.images[rows], target.labels[rows]
     conv_feats = pipeline.extract_features(stage.net, images, Tap.CONV_LAST)
     fc_feats = pipeline.extract_features(stage.net, images, Tap.FC_PENULTIMATE)
-    out_dim = system.lda_out_dim if system.lda_out_dim is not None else min(target.n_classes - 1, 32)
-    lda = cluster.lda_fit(fc_feats, labels, out_dim=out_dim)
+    lda = cluster.lda_fit(fc_feats, labels, out_dim=system.lda_dim(target.n_classes))
     reports = []
     for tap_name, feats, lda_model in (
         (Tap.CONV_LAST.value, conv_feats, None),
@@ -108,9 +107,9 @@ def cmd_cluster_report(cfg: RunConfig, out_dir: Path) -> int:
             labels,
             tap_name,
             lda_model,
-            cfg.k,
+            system.k,
             Rng(derive_seed(seed, 101)),
-            restarts=cfg.kmeans_restarts,
+            restarts=system.kmeans_restarts,
         )
         reports.append(report)
     lines = ["tap,silhouette,min_size,max_size"] + [r.csv_row() for r in reports]

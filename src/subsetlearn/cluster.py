@@ -121,11 +121,11 @@ def lda_fit(features: np.ndarray, labels, out_dim: int, ridge: float | None = No
         s_w = s_w + ridge * np.eye(d_in)
 
     lower = numkit.cholesky(s_w)
-    half = numkit.solve_lower_triangular(lower, s_b)
-    whitened = numkit.solve_lower_triangular(lower, half.T).T
+    half = np.linalg.solve(lower, s_b)
+    whitened = np.linalg.solve(lower, half.T).T
     whitened = 0.5 * (whitened + whitened.T)
     eigenvalues, eigenvectors = numkit.sym_eig(whitened)
-    back = numkit.solve_upper_triangular(lower.T, eigenvectors[:, :out_dim])
+    back = np.linalg.solve(lower.T, eigenvectors[:, :out_dim])
     norms = np.sqrt((back * back).sum(axis=0))
     norms[norms == 0.0] = 1.0
     projection = back / norms

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import configparser
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .convnet import TrainConfig
@@ -14,8 +14,8 @@ from .numkit import derive_seed
 from .pipeline import (
     DatasetHandle,
     StageGraph,
-    StageSpec,
     SystemConfig,
+    default_stage_graph,
     generate_synthetic,
     load_dataset,
     parse_stage_graph,
@@ -36,44 +36,35 @@ _GENERATOR_KEYS = {
     "seed": int,
 }
 
+# (section, key) -> (SystemConfig field, type); an absent key keeps the field's default
+_SYSTEM_KEYS = {
+    ("run", "k"): ("k", int),
+    ("run", "selector"): ("selector", str),
+    ("subset", "epochs"): ("subset_epochs", int),
+    ("subset", "learning_rate"): ("subset_lr", float),
+    ("selector", "epochs"): ("selector_epochs", int),
+    ("svm", "lambda"): ("svm_lambda", float),
+    ("svm", "epochs"): ("svm_epochs", int),
+    ("cluster", "lda_out_dim"): ("lda_out_dim", int),
+    ("cluster", "restarts"): ("kmeans_restarts", int),
+}
+
 
 @dataclass
 class RunConfig:
     seeds: tuple[int, ...]
-    k: int
-    selector: str
     target: str
     datasets: dict[str, dict] = field(default_factory=dict)  # id -> {"file": ...} or generator params
     graph: StageGraph | None = None
-    train: dict = field(default_factory=dict)
-    subset_epochs: int | None = None
-    subset_lr: float | None = None
-    selector_epochs: int | None = None
-    svm_lambda: float = 1e-4
-    svm_epochs: int = 200
-    lda_out_dim: int | None = None
-    kmeans_restarts: int = 10
+    system: SystemConfig = field(default_factory=SystemConfig)  # train.seed is set per run seed
 
     def system_config(self, seed: int) -> SystemConfig:
-        return SystemConfig(
-            k=self.k,
-            selector=self.selector,
-            train=TrainConfig(seed=seed, **self.train),
-            subset_epochs=self.subset_epochs,
-            subset_lr=self.subset_lr,
-            selector_epochs=self.selector_epochs,
-            svm_lambda=self.svm_lambda,
-            svm_epochs=self.svm_epochs,
-            lda_out_dim=self.lda_out_dim,
-            kmeans_restarts=self.kmeans_restarts,
-        )
+        return replace(self.system, train=replace(self.system.train, seed=seed))
 
     def stage_graph(self) -> StageGraph:
         if self.graph is not None:
             return self.graph
-        if "domain" in self.datasets:
-            return StageGraph((StageSpec("domain", "rt"), StageSpec(self.target, "ft")))
-        return StageGraph((StageSpec(self.target, "rt"),))
+        return default_stage_graph(self.target, "domain" in self.datasets)
 
     def build_datasets(self, seed: int) -> dict[str, DatasetHandle]:
         """Materialize every configured dataset for one run seed.
@@ -109,7 +100,8 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
     """Parse and validate a run configuration file.
 
     Every problem raises ConfigError: unknown keys, unparsable values, missing
-    datasets, k < 1, no seeds, or referenced files that do not exist.
+    datasets, values SystemConfig or the stage graph rejects, no seeds, or
+    referenced files that do not exist.
     """
     path = Path(path)
     if not path.is_file():
@@ -130,12 +122,6 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
         if not raw_seeds:
             raise ConfigError("[run] must list at least one seed")
         seeds = tuple(_parse_value("run", "seeds", s, int) for s in raw_seeds)
-    k = _parse_value("run", "k", run.get("k", "6"), int)
-    if k < 1:
-        raise ConfigError("[run] k must be >= 1")
-    selector = run.get("selector", "network").strip()
-    if selector not in ("network", "centroid"):
-        raise ConfigError(f"[run] selector must be network or centroid, got {selector!r}")
     target = run.get("target", "target").strip()
 
     datasets: dict[str, dict] = {}
@@ -196,40 +182,14 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
             if key not in casts:
                 raise ConfigError(f"[train] unknown key {key!r}")
             train[key] = _parse_value("train", key, raw, casts[key])
-
-    cfg = RunConfig(
-        seeds=seeds,
-        k=k,
-        selector=selector,
-        target=target,
-        datasets=datasets,
-        graph=graph,
-        train=train,
-    )
-    if "subset" in parser:
-        body = parser["subset"]
-        if "epochs" in body:
-            cfg.subset_epochs = _parse_value("subset", "epochs", body["epochs"], int)
-        if "learning_rate" in body:
-            cfg.subset_lr = _parse_value("subset", "learning_rate", body["learning_rate"], float)
-    if "selector" in parser:
-        body = parser["selector"]
-        if "epochs" in body:
-            cfg.selector_epochs = _parse_value("selector", "epochs", body["epochs"], int)
-    if "svm" in parser:
-        body = parser["svm"]
-        if "lambda" in body:
-            cfg.svm_lambda = _parse_value("svm", "lambda", body["lambda"], float)
-        if "epochs" in body:
-            cfg.svm_epochs = _parse_value("svm", "epochs", body["epochs"], int)
-    if "cluster" in parser:
-        body = parser["cluster"]
-        if "lda_out_dim" in body:
-            cfg.lda_out_dim = _parse_value("cluster", "lda_out_dim", body["lda_out_dim"], int)
-        if "restarts" in body:
-            cfg.kmeans_restarts = _parse_value("cluster", "restarts", body["restarts"], int)
+    overrides = {
+        name: _parse_value(section, key, parser[section][key], cast)
+        for (section, key), (name, cast) in _SYSTEM_KEYS.items()
+        if parser.has_option(section, key)
+    }
     try:
-        cfg.system_config(cfg.seeds[0]).validate()
+        system = SystemConfig(train=TrainConfig(**train), **overrides)
+        system.validate()
     except ContractError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
+    return RunConfig(seeds=seeds, target=target, datasets=datasets, graph=graph, system=system)

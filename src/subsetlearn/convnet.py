@@ -25,6 +25,10 @@ from .errors import ContractError, ShapeError
 from .numkit import Rng, derive_seed
 
 
+# Fine-tuned stages and nets train at this multiple of the scratch learning rate.
+FINETUNE_LR_FACTOR = 0.1
+
+
 class Tap(str, Enum):
     CONV_LAST = "conv_last"
     FC_PENULTIMATE = "fc_penultimate"
@@ -309,22 +313,14 @@ def init_params(spec: NetSpec, rng: Rng) -> NetParams:
 
     Deterministic for a given rng seed: draws happen in layer order.
     """
-    shapes = spec.layer_shapes()
     params: list[LayerParams | None] = []
-    cur = spec.input_shape
-    for layer, out_shape in zip(spec.layers, shapes):
-        if isinstance(layer, Conv):
-            in_c = cur[0]
-            fan_in = in_c * layer.kernel * layer.kernel
-            w = rng.normal((layer.out_channels, in_c, layer.kernel, layer.kernel), scale=1.0 / np.sqrt(fan_in))
-            params.append(LayerParams(w, np.zeros(layer.out_channels)))
-        elif isinstance(layer, Fc):
-            in_dim = cur[0]
-            w = rng.normal((layer.out_dim, in_dim), scale=1.0 / np.sqrt(in_dim))
-            params.append(LayerParams(w, np.zeros(layer.out_dim)))
-        else:
+    for shapes in expected_param_shapes(spec):
+        if shapes is None:
             params.append(None)
-        cur = out_shape
+            continue
+        w_shape, b_shape = shapes
+        fan_in = int(np.prod(w_shape[1:]))
+        params.append(LayerParams(rng.normal(w_shape, scale=1.0 / np.sqrt(fan_in)), np.zeros(b_shape)))
     return NetParams(tuple(params))
 
 
@@ -598,11 +594,11 @@ def reinit_head(
 
 
 def finetune_config(cfg: TrainConfig, seed: int, epochs: int | None = None) -> TrainConfig:
-    """Fine-tuning policy: continue from an existing trunk at a tenth of the
-    scratch learning rate."""
+    """Fine-tuning policy: continue from an existing trunk at FINETUNE_LR_FACTOR
+    times the scratch learning rate."""
     return dataclasses.replace(
         cfg,
-        learning_rate=cfg.learning_rate * 0.1,
+        learning_rate=cfg.learning_rate * FINETUNE_LR_FACTOR,
         seed=seed,
         epochs=cfg.epochs if epochs is None else epochs,
     )

@@ -12,16 +12,8 @@ import numpy as np
 
 from . import numkit
 from .errors import ContractError, ShapeError
-from .numkit import Rng
-from .subset import SelectorDecision
 
 _ZERO_NORM = 1e-12
-
-
-@dataclass(frozen=True)
-class FusedFeature:
-    vector: np.ndarray
-    chosen_subset: int
 
 
 @dataclass(frozen=True)
@@ -40,56 +32,22 @@ class SvmModel:
     checkpoint_objectives: np.ndarray  # (len(checkpoint_epochs), C)
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """v / ||v||, except vectors with norm <= 1e-12 pass through unchanged
-    (a dead relu column legitimately produces zeros; the pipeline must not abort)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError("l2_normalize expects a 1-d vector")
-    norm = float(np.sqrt((v * v).sum()))
-    if norm > _ZERO_NORM:
-        return v / norm
-    return v.copy()
-
-
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
+    """Each row over its l2 norm, except rows with norm <= 1e-12 pass through
+    unchanged (a dead relu column legitimately produces zeros; the pipeline
+    must not abort)."""
     norms = np.sqrt((m * m).sum(axis=-1, keepdims=True))
     safe = np.where(norms > _ZERO_NORM, norms, 1.0)
     return m / safe
 
 
-def _check_decision(decision: SelectorDecision, k: int) -> None:
-    w = np.asarray(decision.weights, dtype=np.float64)
-    if w.shape != (k,):
-        raise ShapeError(f"decision weights must have shape ({k},), got {w.shape}")
-    if not np.all((w == 0.0) | (w == 1.0)) or w.sum() != 1.0:
-        raise ContractError("decision weights must be one-hot")
-    if not 0 <= decision.chosen < k or w[decision.chosen] != 1.0:
-        raise ContractError("decision.chosen must point at the single 1 entry")
-
-
-def fuse(base_feat: np.ndarray, subset_feats, decision: SelectorDecision) -> FusedFeature:
-    """Concatenate the l2-normalized base feature with the K max-voted,
-    l2-normalized subset features in fixed subset order.
-
-    The selector's one-hot weights zero all but the chosen subset block, so
-    the output width is always D_base + K * D_subset with at most one nonzero
-    subset block.
-    """
-    base = l2_normalize(base_feat)
-    feats = np.asarray(subset_feats, dtype=np.float64)
-    if feats.ndim != 2:
-        raise ShapeError("subset features must be K vectors of equal width")
-    k = feats.shape[0]
-    _check_decision(decision, k)
-    blocks = [base]
-    for i in range(k):
-        blocks.append(decision.weights[i] * l2_normalize(feats[i]))
-    return FusedFeature(vector=np.concatenate(blocks), chosen_subset=decision.chosen)
-
-
 def fuse_batch(base_feats: np.ndarray, subset_feats: np.ndarray, chosen: np.ndarray) -> np.ndarray:
-    """Vectorized fuse over a batch: (B, D_base + K * D_subset)."""
+    """Concatenate each l2-normalized base feature with its K max-voted,
+    l2-normalized subset features in fixed subset order: (B, D_base + K * D_subset).
+
+    Max voting keeps only the chosen subset's block and zeroes the other K - 1,
+    so every row has at most one nonzero subset block.
+    """
     base_feats = numkit.as_matrix(base_feats, "base_feats")
     subset_feats = np.asarray(subset_feats, dtype=np.float64)
     if subset_feats.ndim != 3 or subset_feats.shape[0] != base_feats.shape[0]:
@@ -116,7 +74,6 @@ def svm_train(
     labels,
     lam: float = 1e-4,
     epochs: int = 200,
-    rng: Rng | None = None,
     fit_bias: bool = True,
 ) -> SvmModel:
     """Train C one-vs-all hinge classifiers (+1 for the class, -1 otherwise).
@@ -127,8 +84,7 @@ def svm_train(
     iterate averaging.  Per class, the returned model is the best-objective
     prefix average seen so far (the zero model counts as the t=0 candidate),
     which makes the per-class objective non-increasing over checkpoints and
-    never worse than the zero model.  ``rng`` is accepted for interface
-    symmetry; the solver draws nothing.
+    never worse than the zero model.  The solver draws no random numbers.
     """
     features = numkit.as_matrix(features, "features")
     labels = np.asarray(labels).astype(np.int64)
@@ -197,7 +153,8 @@ def svm_train(
 
 
 def svm_predict_batch(model: SvmModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(predicted classes, score matrix) for a batch of feature rows."""
+    """(predicted classes, scores W x + b) for a batch of feature rows; ties go
+    to the lowest class index."""
     features = numkit.as_matrix(features, "features")
     if features.shape[1] != model.weights.shape[1]:
         raise ShapeError(
@@ -205,12 +162,3 @@ def svm_predict_batch(model: SvmModel, features: np.ndarray) -> tuple[np.ndarray
         )
     scores = features @ model.weights.T + model.biases
     return np.argmax(scores, axis=1), scores
-
-
-def svm_predict(model: SvmModel, feature: np.ndarray) -> tuple[int, np.ndarray]:
-    """Scores W x + b and the argmax class (ties to the lowest index)."""
-    feature = np.asarray(feature, dtype=np.float64)
-    if feature.ndim != 1:
-        raise ShapeError("svm_predict expects a single feature vector")
-    classes, scores = svm_predict_batch(model, feature[None])
-    return int(classes[0]), scores[0]

@@ -10,12 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, ConvergenceError, NotPositiveDefiniteError, ShapeError
-
-# Largest matrix sym_eig accepts; Jacobi sweeps get too slow beyond this.
-SYM_EIG_MAX_N = 1024
-
-_MAX_SWEEPS = 60
+from .errors import ContractError, NotPositiveDefiniteError, ShapeError
 
 
 def derive_seed(seed: int, *keys: int) -> int:
@@ -75,21 +70,6 @@ def as_matrix(a, name: str = "a") -> np.ndarray:
     return arr
 
 
-def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise ContractError(f"{name} contains non-finite values")
-    return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    """Row-major matrix product with eager shape checking."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner extents disagree: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def _check_square_symmetric(a: np.ndarray, tol: float, what: str) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} requires a square matrix, got {a.shape}")
@@ -103,54 +83,16 @@ def _check_square_symmetric(a: np.ndarray, tol: float, what: str) -> np.ndarray:
 
 
 def sym_eig(a, symmetry_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending and
     eigenvectors as matching orthonormal columns, so a == V diag(w) V.T up to
-    rounding.  Chosen for robustness at the few-hundred-dimensional scale this
-    package produces, not for speed.
+    rounding.
     """
-    a = as_matrix(a)
-    if a.shape[0] > SYM_EIG_MAX_N:
-        raise ContractError(f"sym_eig supports n <= {SYM_EIG_MAX_N}, got n = {a.shape[0]}")
-    A = _check_square_symmetric(a, symmetry_tol, "sym_eig")
-    n = A.shape[0]
-    V = np.eye(n)
-    if n > 1:
-        fro = float(np.sqrt((A * A).sum()))
-        stop = max(fro, 1.0) * 1e-14
-        for _ in range(_MAX_SWEEPS):
-            off = float(np.sqrt(2.0 * (np.triu(A, 1) ** 2).sum()))
-            if off <= stop:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = A[p, q]
-                    if apq == 0.0:
-                        continue
-                    tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                    if tau == 0.0:
-                        t = 1.0
-                    else:
-                        t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                    c = 1.0 / np.hypot(1.0, t)
-                    s = t * c
-                    # Similarity transform on columns then rows p, q.
-                    ap, aq = A[:, p].copy(), A[:, q].copy()
-                    A[:, p] = c * ap - s * aq
-                    A[:, q] = s * ap + c * aq
-                    ap, aq = A[p, :].copy(), A[q, :].copy()
-                    A[p, :] = c * ap - s * aq
-                    A[q, :] = s * ap + c * aq
-                    A[p, q] = A[q, p] = 0.0
-                    vp, vq = V[:, p].copy(), V[:, q].copy()
-                    V[:, p] = c * vp - s * vq
-                    V[:, q] = s * vp + c * vq
-        else:
-            raise ConvergenceError(f"Jacobi sweeps did not converge in {_MAX_SWEEPS} passes")
-    eigenvalues = np.diag(A).copy()
+    A = _check_square_symmetric(as_matrix(a), symmetry_tol, "sym_eig")
+    eigenvalues, vectors = np.linalg.eigh(A)
     order = np.argsort(-eigenvalues, kind="stable")
-    return eigenvalues[order], np.ascontiguousarray(V[:, order])
+    return eigenvalues[order], np.ascontiguousarray(vectors[:, order])
 
 
 def cholesky(a, symmetry_tol: float = 1e-9) -> np.ndarray:
@@ -161,49 +103,3 @@ def cholesky(a, symmetry_tol: float = 1e-9) -> np.ndarray:
         return np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("matrix is not positive definite") from exc
-
-
-def solve_lower_triangular(lower: np.ndarray, b) -> np.ndarray:
-    """Solve lower @ x = b by forward substitution.  b may be 1-d or 2-d."""
-    lower = as_matrix(lower, "lower")
-    rhs = np.asarray(b, dtype=np.float64)
-    vector = rhs.ndim == 1
-    if vector:
-        rhs = rhs[:, None]
-    if rhs.ndim != 2 or rhs.shape[0] != lower.shape[0] or lower.shape[0] != lower.shape[1]:
-        raise ShapeError(f"triangular solve shapes disagree: {lower.shape} x {rhs.shape}")
-    x = rhs.copy()
-    n = lower.shape[0]
-    for i in range(n):
-        if i:
-            x[i] -= lower[i, :i] @ x[:i]
-        x[i] /= lower[i, i]
-    return x[:, 0] if vector else x
-
-
-def solve_upper_triangular(upper: np.ndarray, b) -> np.ndarray:
-    """Solve upper @ x = b by back substitution.  b may be 1-d or 2-d."""
-    upper = as_matrix(upper, "upper")
-    rhs = np.asarray(b, dtype=np.float64)
-    vector = rhs.ndim == 1
-    if vector:
-        rhs = rhs[:, None]
-    if rhs.ndim != 2 or rhs.shape[0] != upper.shape[0] or upper.shape[0] != upper.shape[1]:
-        raise ShapeError(f"triangular solve shapes disagree: {upper.shape} x {rhs.shape}")
-    x = rhs.copy()
-    n = upper.shape[0]
-    for i in range(n - 1, -1, -1):
-        if i < n - 1:
-            x[i] -= upper[i, i + 1 :] @ x[i + 1 :]
-        x[i] /= upper[i, i]
-    return x[:, 0] if vector else x
-
-
-def solve_spd(a, b) -> np.ndarray:
-    """Solve a @ x = b for symmetric positive definite a via Cholesky."""
-    a = as_matrix(a)
-    rhs = np.asarray(b, dtype=np.float64)
-    if rhs.shape[0] != a.shape[0]:
-        raise ShapeError(f"solve_spd shapes disagree: {a.shape} x {rhs.shape}")
-    lower = cholesky(a)
-    return solve_upper_triangular(lower.T, solve_lower_triangular(lower, rhs))

@@ -208,8 +208,8 @@ class StageGraph:
             if stage.mode != "ft":
                 raise ContractError("every stage after the first must be ft")
         for stage in self.stages:
-            if stage.mode not in ("rt", "ft"):
-                raise ContractError(f"unknown stage mode {stage.mode!r}")
+            if stage.epochs is not None and stage.epochs < 1:
+                raise ContractError(f"stage {stage.dataset}:{stage.mode} epochs must be >= 1")
 
     @property
     def name(self) -> str:
@@ -218,6 +218,13 @@ class StageGraph:
     @property
     def steps(self) -> int:
         return len(self.stages)
+
+
+def default_stage_graph(target: str, with_domain: bool) -> StageGraph:
+    """The "domain" dataset rt then the target ft when there is a domain, else target rt."""
+    if with_domain:
+        return StageGraph((StageSpec("domain", "rt"), StageSpec(target, "ft")))
+    return StageGraph((StageSpec(target, "rt"),))
 
 
 @dataclass
@@ -236,7 +243,11 @@ def parse_stage_graph(text: str) -> StageGraph:
         if len(parts) == 2:
             stages.append(StageSpec(parts[0], parts[1]))
         elif len(parts) == 3:
-            stages.append(StageSpec(parts[0], parts[1], epochs=int(parts[2])))
+            try:
+                epochs = int(parts[2])
+            except ValueError as exc:
+                raise ContractError(f"bad stage epochs in {token!r}") from exc
+            stages.append(StageSpec(parts[0], parts[1], epochs=epochs))
         else:
             raise ContractError(f"bad stage token {token!r}")
     graph = StageGraph(tuple(stages))
@@ -278,7 +289,7 @@ def run_stage_graph(
             lr = (
                 stage.learning_rate
                 if stage.learning_rate is not None
-                else base_cfg.learning_rate * 0.1
+                else base_cfg.learning_rate * convnet.FINETUNE_LR_FACTOR
             )
         cfg = dataclasses.replace(
             base_cfg,
@@ -384,24 +395,32 @@ class SystemConfig:
             raise ContractError("k must be >= 1")
         if self.selector not in ("network", "centroid"):
             raise ContractError(f"unknown selector {self.selector!r}")
+        if self.svm_lambda <= 0:
+            raise ContractError("svm_lambda must be > 0")
+        for name in ("svm_epochs", "kmeans_restarts", "subset_epochs", "selector_epochs", "lda_out_dim"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ContractError(f"{name} must be >= 1")
         self.train.validate()
+
+    def lda_dim(self, n_classes: int) -> int:
+        """LDA output width: lda_out_dim when set, else min(C - 1, 32)."""
+        return self.lda_out_dim if self.lda_out_dim is not None else min(n_classes - 1, 32)
 
 
 def fuse_dataset_features(
     bundle_base: Network,
     ensemble: SubsetEnsemble,
-    selector,
     images: np.ndarray,
     batch: int = 256,
 ) -> np.ndarray:
-    """Base feature + selector decision + all subset features, fused per image."""
+    """Base feature + the ensemble selector's choice + all subset features, fused per image."""
     base_feats = extract_features(bundle_base, images, Tap.FC_PENULTIMATE, batch)
     chosen_parts = []
     subset_parts = []
     for i in range(0, images.shape[0], batch):
         chunk = images[i : i + batch]
-        chosen, _ = subset.select_batch(selector, chunk)
-        chosen_parts.append(chosen)
+        chosen_parts.append(subset.select_batch(ensemble.selector, chunk))
         subset_parts.append(subset.extract_subset_features(ensemble, chunk))
     chosen = np.concatenate(chosen_parts)
     subset_feats = np.concatenate(subset_parts, axis=0)
@@ -433,11 +452,7 @@ def build_system(
     if extra_datasets:
         datasets.update(extra_datasets)
     if graph is None:
-        graph = (
-            StageGraph((StageSpec("domain", "rt"), StageSpec("target", "ft")))
-            if domain is not None
-            else StageGraph((StageSpec("target", "rt"),))
-        )
+        graph = default_stage_graph("target", domain is not None)
     stage = run_stage_graph(graph, datasets, config.train)
     base = stage.net
 
@@ -445,9 +460,7 @@ def build_system(
     images, labels = target.images[rows], target.labels[rows]
     feats = extract_features(base, images, Tap.FC_PENULTIMATE)
 
-    c = target.n_classes
-    out_dim = config.lda_out_dim if config.lda_out_dim is not None else min(c - 1, 32)
-    lda = _cluster.lda_fit(feats, labels, out_dim=out_dim)
+    lda = _cluster.lda_fit(feats, labels, out_dim=config.lda_dim(target.n_classes))
     cmap, kmeans, _ = _cluster.precluster_classes(
         feats,
         labels,
@@ -474,14 +487,8 @@ def build_system(
     else:
         ensemble.selector = CentroidSelector(kmeans=kmeans, lda=lda, base=base)
 
-    fused = fuse_dataset_features(base, ensemble, ensemble.selector, images)
-    svm = fusion.svm_train(
-        fused,
-        labels,
-        lam=config.svm_lambda,
-        epochs=config.svm_epochs,
-        rng=Rng(derive_seed(config.train.seed, 401)),
-    )
+    fused = fuse_dataset_features(base, ensemble, images)
+    svm = fusion.svm_train(fused, labels, lam=config.svm_lambda, epochs=config.svm_epochs)
     bundle = ModelBundle(
         base=base,
         lda=lda,
@@ -508,7 +515,7 @@ def evaluate(bundle: ModelBundle, dataset: DatasetHandle, split: str = "test") -
             f"bundle has {bundle.svm.weights.shape[0]} classes, dataset has {dataset.n_classes}"
         )
     rows = dataset.rows(split)
-    fused = fuse_dataset_features(bundle.base, bundle.ensemble, bundle.ensemble.selector, dataset.images[rows])
+    fused = fuse_dataset_features(bundle.base, bundle.ensemble, dataset.images[rows])
     preds, _ = fusion.svm_predict_batch(bundle.svm, fused)
     return metrics_from_predictions(dataset.labels[rows], preds, dataset.n_classes)
 

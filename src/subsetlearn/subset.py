@@ -40,14 +40,6 @@ class SubsetPartition:
 
 
 @dataclass(frozen=True)
-class SelectorDecision:
-    """One-hot subset weights: exactly one entry is 1."""
-
-    weights: np.ndarray
-    chosen: int
-
-
-@dataclass(frozen=True)
 class CentroidSelector:
     """Routes an image to the nearest pre-clustering centroid of its
     lda-projected penultimate feature."""
@@ -180,37 +172,19 @@ def train_selector_net(
     return NetSelector(net=Network(spec_s, trained))
 
 
-def _one_hot(chosen: np.ndarray, k: int) -> np.ndarray:
-    weights = np.zeros((chosen.size, k))
-    weights[np.arange(chosen.size), chosen] = 1.0
-    return weights
-
-
-def select_batch(selector: Selector, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Subset choices for a batch.  Returns (chosen indices, one-hot weights).
+def select_batch(selector: Selector, images: np.ndarray) -> np.ndarray:
+    """The chosen subset index of each image in a batch: (B,) int64.
 
     Network selector: argmax of the k softmax outputs.  Centroid selector:
     nearest pre-clustering centroid of the lda-projected base feature.  Ties
     break to the lowest index either way.
     """
     if isinstance(selector, NetSelector):
-        probs = selector.net.forward(images, Tap.HEAD)
-        chosen = np.argmax(probs, axis=1)
-        return chosen, _one_hot(chosen, selector.net.spec.class_count)
+        return np.argmax(selector.net.forward(images, Tap.HEAD), axis=1)
     if isinstance(selector, CentroidSelector):
         feats = selector.base.forward(images, Tap.FC_PENULTIMATE)
-        chosen = kmeans_assign(selector.kmeans, lda_transform(selector.lda, feats))
-        return chosen, _one_hot(chosen, selector.kmeans.k)
+        return kmeans_assign(selector.kmeans, lda_transform(selector.lda, feats))
     raise ContractError(f"untrained or unknown selector {selector!r}")
-
-
-def select(selector: Selector, image: np.ndarray) -> SelectorDecision:
-    """Decision for one image (C, H, W)."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3:
-        raise ShapeError("select expects a single image (C, H, W)")
-    chosen, weights = select_batch(selector, image[None])
-    return SelectorDecision(weights=weights[0], chosen=int(chosen[0]))
 
 
 def extract_subset_features(ensemble: SubsetEnsemble, images: np.ndarray) -> np.ndarray:

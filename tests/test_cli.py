@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from subsetlearn import container, pipeline
+from subsetlearn import cli, cluster, container, pipeline
 from subsetlearn.config import parse_config
+from subsetlearn.convnet import TrainConfig
 from subsetlearn.errors import ConfigError
+from subsetlearn.pipeline import SystemConfig
 
 CONFIG = """
 [run]
@@ -63,6 +65,14 @@ batch_size = 8
 [svm]
 epochs = 10
 """
+
+
+def with_entry(section: str, entry: str) -> str:
+    """CONFIG with one more ``key = value`` line in ``[section]``."""
+    header = f"[{section}]\n"
+    if header in CONFIG:
+        return CONFIG.replace(header, header + entry + "\n")
+    return CONFIG + f"\n{header}{entry}\n"
 
 
 @pytest.fixture
@@ -150,6 +160,15 @@ class TestTrain:
         )
         assert result.returncode == 0, result.stderr
         assert (out / "bundle-seed9.sfl").exists()
+
+    def test_invalid_value_exit_2_before_training(self, run_cli, tmp_path):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(with_entry("svm", "lambda = 0"))
+        out = tmp_path / "out"
+        result = run_cli("--out-dir", str(out), "train", "--config", str(bad), cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "svm_lambda" in result.stderr
+        assert not (out / "bundle-seed3.sfl").exists()
 
 
 class TestEval:
@@ -282,3 +301,47 @@ class TestConfigParsing:
     def test_seed_override_wins(self, config_file):
         cfg = parse_config(config_file, seed_override=42)
         assert cfg.seeds == (42,)
+
+    @pytest.mark.parametrize(
+        "section,key,bad,good",
+        [
+            ("graph", "stages", "target:rt:abc", "target:rt:2"),
+            ("graph", "stages", "target:rt:0", "target:rt:2"),
+            ("svm", "lambda", "0", "1e-4"),
+            ("subset", "epochs", "0", "1"),
+            ("selector", "epochs", "-1", "1"),
+            ("cluster", "restarts", "0", "1"),
+            ("cluster", "lda_out_dim", "0", "1"),
+        ],
+    )
+    def test_invalid_values_rejected(self, tmp_path, section, key, bad, good):
+        path = tmp_path / "run.ini"
+        path.write_text(with_entry(section, f"{key} = {good}"))
+        parse_config(path)
+        path.write_text(with_entry(section, f"{key} = {bad}"))
+        with pytest.raises(ConfigError):
+            parse_config(path)
+
+    def test_defaults_come_from_system_config(self, tmp_path):
+        path = tmp_path / "minimal.ini"
+        path.write_text("[run]\nseeds = 5 6\n\n[dataset.target]\nn_groups = 2\n")
+        cfg = parse_config(path)
+        for seed in cfg.seeds:
+            assert cfg.system_config(seed) == SystemConfig(train=TrainConfig(seed=seed))
+
+    def test_build_and_cluster_report_share_lda_out_dim(self, tmp_path, monkeypatch, config_file):
+        out_dims = []
+        lda_fit = cluster.lda_fit
+
+        def recording(features, labels, out_dim, ridge=None):
+            out_dims.append(out_dim)
+            return lda_fit(features, labels, out_dim, ridge)
+
+        monkeypatch.setattr(cluster, "lda_fit", recording)
+        cfg = parse_config(config_file)
+        cli.cmd_cluster_report(cfg, tmp_path)
+        datasets = cfg.build_datasets(cfg.seeds[0])
+        pipeline.build_system(
+            datasets[cfg.target], graph=cfg.stage_graph(), extra_datasets=datasets, config=cfg.system_config(3)
+        )
+        assert out_dims == [3, 3]  # min(C - 1, 32) for the 4-class target

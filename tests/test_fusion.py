@@ -3,89 +3,60 @@ import pytest
 
 from subsetlearn import fusion
 from subsetlearn.errors import ContractError, ShapeError
-from subsetlearn.subset import SelectorDecision
-
-
-def decision(chosen, k):
-    w = np.zeros(k)
-    w[chosen] = 1.0
-    return SelectorDecision(weights=w, chosen=chosen)
 
 
 class TestL2Normalize:
     def test_three_four_five(self):
-        assert np.allclose(fusion.l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8])
+        assert np.allclose(fusion.l2_normalize_rows(np.array([[3.0, 4.0]])), [[0.6, 0.8]])
 
     def test_zero_vector_passes_through(self):
-        out = fusion.l2_normalize(np.zeros(4))
-        assert np.array_equal(out, np.zeros(4))
+        out = fusion.l2_normalize_rows(np.zeros((1, 4)))
+        assert np.array_equal(out, np.zeros((1, 4)))
 
     def test_unit_norm_output(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            v = rng.normal(size=7) * 10.0 ** float(rng.integers(-3, 4))
-            norm = np.linalg.norm(fusion.l2_normalize(v))
-            assert abs(norm - 1.0) < 1e-9
+        rows = rng.normal(size=(50, 7)) * 10.0 ** rng.integers(-3, 4, size=(50, 1)).astype(float)
+        norms = np.linalg.norm(fusion.l2_normalize_rows(rows), axis=1)
+        assert np.abs(norms - 1.0).max() < 1e-9
 
 
 class TestFuse:
     def test_hand_computed_chosen_zero(self):
-        out = fusion.fuse(
-            np.array([1.0, 0.0]), np.array([[0.0, 2.0], [3.0, 0.0]]), decision(0, 2)
-        )
-        assert np.array_equal(out.vector, [1, 0, 0, 1, 0, 0])
-        assert out.chosen_subset == 0
+        out = fusion.fuse_batch(np.array([[1.0, 0.0]]), np.array([[[0.0, 2.0], [3.0, 0.0]]]), np.array([0]))
+        assert np.array_equal(out, [[1, 0, 0, 1, 0, 0]])
 
     def test_hand_computed_chosen_one(self):
-        out = fusion.fuse(
-            np.array([1.0, 0.0]), np.array([[0.0, 2.0], [3.0, 0.0]]), decision(1, 2)
-        )
-        assert np.array_equal(out.vector, [1, 0, 0, 0, 1, 0])
+        out = fusion.fuse_batch(np.array([[1.0, 0.0]]), np.array([[[0.0, 2.0], [3.0, 0.0]]]), np.array([1]))
+        assert np.array_equal(out, [[1, 0, 0, 0, 1, 0]])
 
     def test_output_width(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            dg, k, ds = rng.integers(1, 6), rng.integers(1, 5), rng.integers(1, 6)
-            out = fusion.fuse(
-                rng.normal(size=dg), rng.normal(size=(k, ds)), decision(int(rng.integers(k)), int(k))
+            b, dg, k, ds = rng.integers(1, 4), rng.integers(1, 6), rng.integers(1, 5), rng.integers(1, 6)
+            out = fusion.fuse_batch(
+                rng.normal(size=(b, dg)), rng.normal(size=(b, k, ds)), rng.integers(0, k, size=b)
             )
-            assert out.vector.shape == (dg + k * ds,)
+            assert out.shape == (b, dg + k * ds)
 
     def test_exactly_one_nonzero_block(self):
         rng = np.random.default_rng(2)
-        for _ in range(200):
-            k, ds = 4, 3
-            feats = rng.normal(size=(k, ds))
-            chosen = int(rng.integers(k))
-            out = fusion.fuse(rng.normal(size=2), feats, decision(chosen, k))
-            blocks = out.vector[2:].reshape(k, ds)
-            nonzero_blocks = [i for i in range(k) if np.any(blocks[i] != 0.0)]
-            assert nonzero_blocks == [chosen]
+        n, k, ds = 200, 4, 3
+        chosen = rng.integers(0, k, size=n)
+        out = fusion.fuse_batch(rng.normal(size=(n, 2)), rng.normal(size=(n, k, ds)), chosen)
+        blocks = out[:, 2:].reshape(n, k, ds)
+        for i in range(n):
+            nonzero_blocks = [j for j in range(k) if np.any(blocks[i, j] != 0.0)]
+            assert nonzero_blocks == [chosen[i]]
 
     def test_positive_scaling_invariance(self):
         rng = np.random.default_rng(3)
-        base = rng.normal(size=4)
-        feats = rng.normal(size=(3, 5))
-        ref = fusion.fuse(base, feats, decision(1, 3)).vector
+        base = rng.normal(size=(1, 4))
+        feats = rng.normal(size=(1, 3, 5))
+        chosen = np.array([1])
+        ref = fusion.fuse_batch(base, feats, chosen)
         for scale in (0.25, 4.0, 3.7, 1e-3, 1e3):
-            scaled = fusion.fuse(scale * base, scale * feats, decision(1, 3)).vector
+            scaled = fusion.fuse_batch(scale * base, scale * feats, chosen)
             assert np.abs(scaled - ref).max() < 1e-12
-
-    def test_rejects_bad_decision(self):
-        with pytest.raises(ContractError):
-            fusion.fuse(np.ones(2), np.ones((2, 2)), SelectorDecision(np.array([1.0, 1.0]), 0))
-        with pytest.raises(ContractError):
-            fusion.fuse(np.ones(2), np.ones((2, 2)), SelectorDecision(np.array([0.5, 0.5]), 0))
-
-    def test_fuse_batch_matches_single(self):
-        rng = np.random.default_rng(4)
-        base = rng.normal(size=(6, 3))
-        feats = rng.normal(size=(6, 2, 4))
-        chosen = rng.integers(0, 2, size=6)
-        batch = fusion.fuse_batch(base, feats, chosen)
-        for i in range(6):
-            single = fusion.fuse(base[i], feats[i], decision(int(chosen[i]), 2))
-            assert np.array_equal(batch[i], single.vector)
 
     def test_fuse_batch_shape_checks(self):
         with pytest.raises(ShapeError):
@@ -173,9 +144,9 @@ class TestSvmPredict:
             checkpoint_epochs=(1,),
             checkpoint_objectives=np.ones((1, 3)),
         )
-        cls, scores = fusion.svm_predict(model, np.array([1.0, 2.0]))
-        assert cls == 0
-        assert np.array_equal(scores, np.zeros(3))
+        cls, scores = fusion.svm_predict_batch(model, np.array([[1.0, 2.0]]))
+        assert cls.tolist() == [0]
+        assert np.array_equal(scores, np.zeros((1, 3)))
 
     def test_hand_built_model(self):
         model = fusion.SvmModel(
@@ -185,9 +156,9 @@ class TestSvmPredict:
             checkpoint_epochs=(1,),
             checkpoint_objectives=np.ones((1, 2)),
         )
-        cls, scores = fusion.svm_predict(model, np.array([2.0, 1.0]))
-        assert cls == 0
-        assert np.array_equal(scores, [2.0, 1.0])
+        cls, scores = fusion.svm_predict_batch(model, np.array([[2.0, 1.0], [1.0, 3.0]]))
+        assert cls.tolist() == [0, 1]
+        assert np.array_equal(scores, [[2.0, 1.0], [1.0, 3.0]])
 
     def test_zero_padding_invariance(self):
         rng = np.random.default_rng(5)
@@ -200,10 +171,9 @@ class TestSvmPredict:
             checkpoint_epochs=model.checkpoint_epochs,
             checkpoint_objectives=model.checkpoint_objectives,
         )
-        for row in x:
-            a, _ = fusion.svm_predict(model, row)
-            b, _ = fusion.svm_predict(padded, np.concatenate([row, [0.0]]))
-            assert a == b
+        a, _ = fusion.svm_predict_batch(model, x)
+        b, _ = fusion.svm_predict_batch(padded, np.concatenate([x, np.zeros((x.shape[0], 1))], axis=1))
+        assert np.array_equal(a, b)
 
     def test_common_bias_shift_keeps_argmax(self):
         rng = np.random.default_rng(6)
@@ -216,8 +186,7 @@ class TestSvmPredict:
             checkpoint_epochs=model.checkpoint_epochs,
             checkpoint_objectives=model.checkpoint_objectives,
         )
-        for row in x:
-            assert fusion.svm_predict(model, row)[0] == fusion.svm_predict(shifted, row)[0]
+        assert np.array_equal(fusion.svm_predict_batch(model, x)[0], fusion.svm_predict_batch(shifted, x)[0])
 
     def test_width_mismatch(self):
         model = fusion.SvmModel(
@@ -228,7 +197,7 @@ class TestSvmPredict:
             checkpoint_objectives=np.ones((1, 2)),
         )
         with pytest.raises(ShapeError):
-            fusion.svm_predict(model, np.zeros(4))
+            fusion.svm_predict_batch(model, np.zeros((1, 4)))
 
     def test_scaling_before_fuse_keeps_svm_argmax(self):
         rng = np.random.default_rng(7)

@@ -2,44 +2,8 @@ import numpy as np
 import pytest
 
 from subsetlearn import numkit
-from subsetlearn.errors import ContractError, NotPositiveDefiniteError, ShapeError
+from subsetlearn.errors import ContractError, NotPositiveDefiniteError
 from subsetlearn.numkit import Rng
-
-
-class TestMatmul:
-    def test_identity(self):
-        out = numkit.matmul([[1, 0], [0, 1]], [[3, 4], [5, 6]])
-        assert np.array_equal(out, [[3, 4], [5, 6]])
-
-    def test_dot_product(self):
-        assert numkit.matmul([[1, 2]], [[3], [4]])[0, 0] == 11.0
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(5, 4))
-        b = rng.normal(size=(4, 3))
-        expected = np.zeros((5, 3))
-        for i in range(5):
-            for j in range(3):
-                for k in range(4):
-                    expected[i, j] += a[i, k] * b[k, j]
-        assert np.abs(numkit.matmul(a, b) - expected).max() < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            numkit.matmul(np.ones((2, 3)), np.ones((2, 3)))
-        with pytest.raises(ShapeError):
-            numkit.matmul(np.ones(3), np.ones((3, 2)))
-
-    def test_associativity_property(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = rng.normal(size=(4, 6))
-            b = rng.normal(size=(6, 3))
-            c = rng.normal(size=(3, 5))
-            left = numkit.matmul(numkit.matmul(a, b), c)
-            right = numkit.matmul(a, numkit.matmul(b, c))
-            assert np.abs(left - right).max() <= 1e-9 * max(1.0, np.abs(left).max())
 
 
 class TestSymEig:
@@ -76,32 +40,33 @@ class TestSymEig:
         with pytest.raises(ContractError):
             numkit.sym_eig([[1.0, 2.0], [0.0, 1.0]])
 
-    def test_rejects_too_large(self):
-        n = numkit.SYM_EIG_MAX_N + 1
-        with pytest.raises(ContractError):
-            numkit.sym_eig(np.zeros((n, n)))
+    def test_rank_deficient_whitened_scatter(self):
+        # the LDA case: between-class scatter of C class means in D = 64
+        # dimensions, whitened by the Cholesky factor of a within-class
+        # scatter, has rank C - 1 and a (D - C + 1)-fold zero eigenvalue
+        rng = np.random.default_rng(13)
+        d, c = 64, 12
+        md = rng.normal(size=(c, d)) * np.sqrt(40.0)
+        md -= md.mean(axis=0)
+        s_b = md.T @ md
+        m = rng.normal(size=(d, 3 * d))
+        lower = np.linalg.cholesky(m @ m.T / (3 * d) + 1e-3 * np.eye(d))
+        whitened = np.linalg.solve(lower, np.linalg.solve(lower, s_b).T).T
+        whitened = 0.5 * (whitened + whitened.T)
+        w, v = numkit.sym_eig(whitened)
+        assert np.all(np.diff(w) <= 0.0)
+        tol = 1e-10 * w[0]
+        assert np.all(w[: c - 1] > tol)
+        assert np.abs(w[c - 1 :]).max() <= tol
+        assert np.abs(whitened @ v[:, c - 1 :]).max() <= tol
+        assert np.abs(v @ np.diag(w) @ v.T - whitened).max() <= tol
+        assert np.abs(v.T @ v - np.eye(d)).max() < 1e-12
 
 
-class TestSolveSpd:
-    def test_identity(self):
-        b = np.array([[1.0], [2.0], [3.0]])
-        assert np.array_equal(numkit.solve_spd(np.eye(3), b), b)
-
-    def test_diagonal(self):
-        x = numkit.solve_spd(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
-        assert np.allclose(x, [1.0, 2.0])
-
-    def test_residual_oracle(self):
-        rng = np.random.default_rng(7)
-        m = rng.normal(size=(5, 5))
-        a = m @ m.T + 5.0 * np.eye(5)
-        b = rng.normal(size=(5, 2))
-        x = numkit.solve_spd(a, b)
-        assert np.abs(a @ x - b).max() < 1e-8
-
+class TestCholesky:
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
-            numkit.solve_spd(np.diag([1.0, -1.0]), np.array([1.0, 1.0]))
+            numkit.cholesky(np.diag([1.0, -1.0]))
         with pytest.raises(NotPositiveDefiniteError):
             numkit.cholesky(np.zeros((2, 2)))
 

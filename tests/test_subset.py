@@ -196,7 +196,7 @@ class TestSelectors:
         cfg = TrainConfig(epochs=15, batch_size=16, seed=3, learning_rate=0.01)
         sel = subset.train_selector_net(cmap, images, labels, base_net, cfg)
         te = ds.rows("test")
-        chosen, _ = subset.select_batch(sel, ds.images[te])
+        chosen = subset.select_batch(sel, ds.images[te])
         truth = cmap.class_to_subset[ds.labels[te]]
         assert (chosen == truth).mean() >= 2.0 / cmap.k  # 2x chance for k=2 means perfect
 
@@ -211,11 +211,10 @@ class TestSelectors:
         cmap = ClassClusterMap(class_to_subset=np.array([0, 0, 1, 1]), k=2)
         cfg = TrainConfig(epochs=1, batch_size=8, seed=3, learning_rate=0.002)
         sel = subset.train_selector_net(cmap, images, labels, base_net, cfg)
-        decision = subset.select(sel, images[0])
-        assert decision.weights.sum() == 1.0
-        assert decision.weights[decision.chosen] == 1.0
+        chosen = subset.select_batch(sel, images[:1])
+        assert chosen.shape == (1,)
         probs = sel.net.forward(images[:1], Tap.HEAD)
-        assert decision.chosen == int(probs.argmax())
+        assert chosen[0] == int(probs.argmax())
 
     def test_centroid_selector_matches_kmeans_assign(self, toy_data, base_net):
         ds, images, labels = toy_data
@@ -225,21 +224,22 @@ class TestSelectors:
         lda = _cluster.lda_fit(feats, labels, out_dim=2)
         km = _cluster.kmeans_fit(lda_transform(lda, feats), 2, rng=Rng(0))
         sel = CentroidSelector(kmeans=km, lda=lda, base=base_net)
-        chosen, weights = subset.select_batch(sel, images)
+        chosen = subset.select_batch(sel, images)
         expected = kmeans_assign(km, lda_transform(lda, feats))
         assert np.array_equal(chosen, expected)
-        assert np.all(weights.sum(axis=1) == 1.0)
 
     def test_decision_weights_always_one_hot(self, toy_data, base_net):
+        # one subset per image: an integer index in [0, k), the same one an
+        # image gets alone or inside a batch
         _, images, labels = toy_data
         cmap = ClassClusterMap(class_to_subset=np.array([0, 1, 2, 0]), k=3)
         cfg = TrainConfig(epochs=1, batch_size=8, seed=3, learning_rate=0.002)
         sel = subset.train_selector_net(cmap, images, labels, base_net, cfg)
+        chosen = subset.select_batch(sel, images)
+        assert chosen.shape == (images.shape[0],) and chosen.dtype == np.int64
+        assert chosen.min() >= 0 and chosen.max() < cmap.k
         for i in range(images.shape[0]):
-            d = subset.select(sel, images[i])
-            nonzero = np.flatnonzero(d.weights)
-            assert nonzero.size == 1
-            assert d.weights[nonzero[0]] == 1.0
+            assert subset.select_batch(sel, images[i : i + 1]).tolist() == [chosen[i]]
 
     def test_unknown_selector_rejected(self):
         with pytest.raises(ContractError):
