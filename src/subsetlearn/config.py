@@ -114,6 +114,13 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
 
     if "run" not in parser:
         raise ConfigError("config requires a [run] section")
+    allowed = {"run": {"seeds", "seed", "target"}, "graph": {"stages"}}
+    for section, key in _SYSTEM_KEYS:
+        allowed.setdefault(section, set()).add(key)
+    for section, keys in allowed.items():
+        unknown = sorted(set(parser[section]) - keys) if section in parser else []
+        if unknown:
+            raise ConfigError(f"[{section}] unknown key {unknown[0]!r}")
     run = parser["run"]
     if seed_override is not None:
         seeds: tuple[int, ...] = (int(seed_override),)

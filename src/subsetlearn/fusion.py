@@ -15,6 +15,11 @@ from .errors import ContractError, ShapeError
 
 _ZERO_NORM = 1e-12
 
+# default regularization and epoch count of the one-vs-all SVM, for the system
+# and for the feature-protocol baseline alike
+SVM_LAMBDA = 1e-4
+SVM_EPOCHS = 200
+
 
 @dataclass(frozen=True)
 class SvmModel:
@@ -72,8 +77,8 @@ def svm_objective(w: np.ndarray, b: float, features: np.ndarray, y: np.ndarray, 
 def svm_train(
     features: np.ndarray,
     labels,
-    lam: float = 1e-4,
-    epochs: int = 200,
+    lam: float = SVM_LAMBDA,
+    epochs: int = SVM_EPOCHS,
     fit_bias: bool = True,
 ) -> SvmModel:
     """Train C one-vs-all hinge classifiers (+1 for the class, -1 otherwise).

@@ -385,8 +385,8 @@ class SystemConfig:
     subset_epochs: int | None = None
     subset_lr: float | None = None  # None follows the x0.1 fine-tune policy
     selector_epochs: int | None = None
-    svm_lambda: float = 1e-4
-    svm_epochs: int = 200
+    svm_lambda: float = fusion.SVM_LAMBDA
+    svm_epochs: int = fusion.SVM_EPOCHS
     lda_out_dim: int | None = None
     kmeans_restarts: int = 10
 
@@ -414,17 +414,22 @@ def fuse_dataset_features(
     images: np.ndarray,
     batch: int = 256,
 ) -> np.ndarray:
-    """Base feature + the ensemble selector's choice + all subset features, fused per image."""
-    base_feats = extract_features(bundle_base, images, Tap.FC_PENULTIMATE, batch)
-    chosen_parts = []
-    subset_parts = []
+    """Base feature + the ensemble selector's choice + the chosen subset
+    net's feature, fused per image.
+
+    Per chunk of ``batch`` images the selector routes first, then each subset
+    net runs only on the images routed to it: every image passes through the
+    base net, the selector (a network selector's own net; the centroid
+    selector reuses the base feature) and exactly one subset net.
+    """
+    parts = []
     for i in range(0, images.shape[0], batch):
         chunk = images[i : i + batch]
-        chosen_parts.append(subset.select_batch(ensemble.selector, chunk))
-        subset_parts.append(subset.extract_subset_features(ensemble, chunk))
-    chosen = np.concatenate(chosen_parts)
-    subset_feats = np.concatenate(subset_parts, axis=0)
-    return fusion.fuse_batch(base_feats, subset_feats, chosen)
+        base_feats = bundle_base.forward(chunk, Tap.FC_PENULTIMATE)
+        chosen = subset.select_batch(ensemble.selector, chunk, base_feats)
+        subset_feats = subset.extract_subset_features(ensemble, chunk, chosen)
+        parts.append(fusion.fuse_batch(base_feats, subset_feats, chosen))
+    return np.concatenate(parts, axis=0)
 
 
 def build_system(
@@ -485,7 +490,7 @@ def build_system(
         )
         ensemble.selector = subset.train_selector_net(cmap, images, labels, base, selector_cfg)
     else:
-        ensemble.selector = CentroidSelector(kmeans=kmeans, lda=lda, base=base)
+        ensemble.selector = CentroidSelector(kmeans=kmeans, lda=lda)
 
     fused = fuse_dataset_features(base, ensemble, images)
     svm = fusion.svm_train(fused, labels, lam=config.svm_lambda, epochs=config.svm_epochs)
@@ -524,8 +529,8 @@ def evaluate_feature_svm(
     net: Network,
     dataset: DatasetHandle,
     tap: Tap = Tap.FC_PENULTIMATE,
-    lam: float = 1e-4,
-    epochs: int = 200,
+    lam: float = fusion.SVM_LAMBDA,
+    epochs: int = fusion.SVM_EPOCHS,
 ) -> Metrics:
     """Feature-protocol baseline: one-vs-all SVM on l2-normalized tap features
     of the train split, scored on the test split."""
@@ -714,7 +719,7 @@ def load_bundle(path) -> ModelBundle:
                 net=Network(spec_s, _params_from_tensors("selector", spec_s, tensors))
             )
         elif info["selector"] == "centroid":
-            ensemble.selector = CentroidSelector(kmeans=kmeans, lda=lda, base=base)
+            ensemble.selector = CentroidSelector(kmeans=kmeans, lda=lda)
         else:
             raise InvariantError(f"{path}: unknown selector kind {info['selector']!r}")
         svm = SvmModel(

@@ -42,11 +42,10 @@ class SubsetPartition:
 @dataclass(frozen=True)
 class CentroidSelector:
     """Routes an image to the nearest pre-clustering centroid of its
-    lda-projected penultimate feature."""
+    lda-projected penultimate base feature."""
 
     kmeans: KMeansModel
     lda: LdaModel
-    base: Network
 
 
 @dataclass(frozen=True)
@@ -172,26 +171,36 @@ def train_selector_net(
     return NetSelector(net=Network(spec_s, trained))
 
 
-def select_batch(selector: Selector, images: np.ndarray) -> np.ndarray:
+def select_batch(selector: Selector, images: np.ndarray, base_feats: np.ndarray) -> np.ndarray:
     """The chosen subset index of each image in a batch: (B,) int64.
 
-    Network selector: argmax of the k softmax outputs.  Centroid selector:
-    nearest pre-clustering centroid of the lda-projected base feature.  Ties
+    Network selector: argmax of the k softmax outputs on the images.  Centroid
+    selector: nearest pre-clustering centroid of the lda-projected base
+    features, the penultimate base-net activations of the same images.  Ties
     break to the lowest index either way.
     """
     if isinstance(selector, NetSelector):
         return np.argmax(selector.net.forward(images, Tap.HEAD), axis=1)
     if isinstance(selector, CentroidSelector):
-        feats = selector.base.forward(images, Tap.FC_PENULTIMATE)
-        return kmeans_assign(selector.kmeans, lda_transform(selector.lda, feats))
+        return kmeans_assign(selector.kmeans, lda_transform(selector.lda, base_feats))
     raise ContractError(f"untrained or unknown selector {selector!r}")
 
 
-def extract_subset_features(ensemble: SubsetEnsemble, images: np.ndarray) -> np.ndarray:
-    """Tap activations from every subset net on the same images: (B, K, D).
+def extract_subset_features(ensemble: SubsetEnsemble, images: np.ndarray, chosen) -> np.ndarray:
+    """Tap activation of each image's chosen subset net, in block chosen[b] of
+    row b: (B, K, D), with every other block zero.
 
-    All K features are extracted regardless of selection; max voting zeroes
-    the losers downstream.
+    Each net runs once, on the rows routed to it, and a net no row chose does
+    not run.  The blocks left zero are the ones max voting zeroes.
     """
-    feats = [net.forward(images, ensemble.tap) for net in ensemble.nets]
-    return np.stack(feats, axis=1)
+    chosen = np.asarray(chosen, dtype=np.int64)
+    if chosen.shape != (images.shape[0],) or (
+        chosen.size and (chosen.min() < 0 or chosen.max() >= ensemble.k)
+    ):
+        raise ContractError("chosen indices must be (B,) values in [0, K)")
+    feats = np.zeros((images.shape[0], ensemble.k, ensemble.feature_dim))
+    for j, net in enumerate(ensemble.nets):
+        rows = np.flatnonzero(chosen == j)
+        if rows.size:
+            feats[rows, j] = net.forward(images[rows], ensemble.tap)
+    return feats

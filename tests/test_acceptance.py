@@ -211,9 +211,10 @@ def test_criterion_07_selector_ordering(benchmark_builds):
     for seed, ds, bundle in benchmark_builds:
         te = ds.rows("test")
         truth = bundle.cluster_map.class_to_subset[ds.labels[te]]
-        chosen_net = subset.select_batch(bundle.ensemble.selector, ds.images[te])
-        centroid = CentroidSelector(kmeans=bundle.kmeans, lda=bundle.lda, base=bundle.base)
-        chosen_cen = subset.select_batch(centroid, ds.images[te])
+        base_feats = bundle.base.forward(ds.images[te], Tap.FC_PENULTIMATE)
+        chosen_net = subset.select_batch(bundle.ensemble.selector, ds.images[te], base_feats)
+        centroid = CentroidSelector(kmeans=bundle.kmeans, lda=bundle.lda)
+        chosen_cen = subset.select_batch(centroid, ds.images[te], base_feats)
         net_accs.append(float((chosen_net == truth).mean()))
         cen_accs.append(float((chosen_cen == truth).mean()))
     ok = np.mean(net_accs) >= np.mean(cen_accs)

@@ -161,6 +161,18 @@ class TestTrain:
         assert result.returncode == 0, result.stderr
         assert (out / "bundle-seed9.sfl").exists()
 
+    def test_threads_do_not_change_the_bundle(self, run_cli, tmp_path, config_file):
+        bundles = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            result = run_cli(
+                "--out-dir", str(out), "--threads", threads, "train", "--config", str(config_file),
+                cwd=tmp_path,
+            )
+            assert result.returncode == 0, result.stderr
+            bundles.append((out / "bundle-seed3.sfl").read_bytes())
+        assert bundles[0] == bundles[1]
+
     def test_invalid_value_exit_2_before_training(self, run_cli, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text(with_entry("svm", "lambda = 0"))
@@ -258,6 +270,23 @@ class TestConfigParsing:
         bad.write_text(CONFIG + "\n[dataset.extra]\nwhatever = 3\n")
         with pytest.raises(ConfigError):
             parse_config(bad)
+
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            ("run", "seedz"),
+            ("subset", "epoch"),
+            ("selector", "learning_rate"),
+            ("svm", "lamda"),
+            ("cluster", "restart"),
+            ("graph", "stage"),
+        ],
+    )
+    def test_unknown_section_key_rejected(self, tmp_path, section, key):
+        path = tmp_path / "run.ini"
+        path.write_text(with_entry(section, f"{key} = 0"))
+        with pytest.raises(ConfigError, match=f"\\[{section}\\] unknown key '{key}'"):
+            parse_config(path)
 
     def test_target_must_exist(self, tmp_path):
         bad = tmp_path / "bad.ini"

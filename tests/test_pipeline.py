@@ -1,7 +1,10 @@
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 
-from subsetlearn import cluster, convnet, pipeline
+from subsetlearn import cluster, convnet, fusion, pipeline, subset
 from subsetlearn.convnet import Tap, TrainConfig
 from subsetlearn.errors import ContractError, InvariantError, ShapeError
 from subsetlearn.numkit import Rng
@@ -293,6 +296,100 @@ class TestEvaluate:
         evaluate(bundle, ds, "test")
         assert np.array_equal(bundle.svm.weights, before)
         assert np.array_equal(bundle.base.params.layers[0].weight, base_before)
+
+
+@pytest.fixture(scope="module")
+def centroid_bundle():
+    ds = generate_synthetic(**TINY)
+    return ds, build_system(ds, config=dataclasses.replace(TINY_SYSTEM, selector="centroid"))
+
+
+def all_k_reference(bundle, images, chosen=None):
+    """Fused features the dense way: every subset net on every image, then max voting."""
+    base = bundle.base.forward(images, Tap.FC_PENULTIMATE)
+    if chosen is None:
+        chosen = subset.select_batch(bundle.ensemble.selector, images, base)
+    every = np.stack([net.forward(images, bundle.ensemble.tap) for net in bundle.ensemble.nets], axis=1)
+    return fusion.fuse_batch(base, every, chosen)
+
+
+def count_forward_images(monkeypatch, bundle):
+    """Record (network role, images) for every convnet.forward call from now on."""
+    roles = {id(bundle.base.params): "base"}
+    if isinstance(bundle.ensemble.selector, subset.NetSelector):
+        roles[id(bundle.ensemble.selector.net.params)] = "selector"
+    roles.update({id(net.params): f"subset{j}" for j, net in enumerate(bundle.ensemble.nets)})
+    calls = []
+    forward = convnet.forward
+
+    def counting(spec, params, batch, tap=Tap.HEAD):
+        calls.append((roles[id(params)], batch.shape[0]))
+        return forward(spec, params, batch, tap)
+
+    monkeypatch.setattr(convnet, "forward", counting)
+    return calls
+
+
+class TestRoutedInference:
+    @pytest.mark.parametrize("which", ["tiny_bundle", "centroid_bundle"])
+    def test_matches_all_k_reference(self, request, which):
+        ds, bundle = request.getfixturevalue(which)
+        for split in ("train", "test"):
+            images = ds.images[ds.rows(split)]
+            fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, images)
+            ref = all_k_reference(bundle, images)
+            assert fused.shape == ref.shape
+            assert np.abs(fused - ref).max() <= 1e-12
+            preds, scores = fusion.svm_predict_batch(bundle.svm, fused)
+            ref_preds, ref_scores = fusion.svm_predict_batch(bundle.svm, ref)
+            assert np.array_equal(preds, ref_preds)
+            assert np.abs(scores - ref_scores).max() <= 1e-12
+
+    @pytest.mark.parametrize("which,per_image", [("tiny_bundle", 3), ("centroid_bundle", 2)])
+    def test_one_subset_forward_per_image(self, request, monkeypatch, which, per_image):
+        ds, bundle = request.getfixturevalue(which)
+        te = ds.rows("test")
+        base = bundle.base.forward(ds.images[te], Tap.FC_PENULTIMATE)
+        chosen = subset.select_batch(bundle.ensemble.selector, ds.images[te], base)
+        calls = count_forward_images(monkeypatch, bundle)
+        evaluate(bundle, ds, "test")
+        seen = collections.Counter()
+        for role, n in calls:
+            seen[role] += n
+        assert sum(seen.values()) == per_image * te.size
+        assert seen["base"] == te.size
+        assert seen["selector"] == (te.size if which == "tiny_bundle" else 0)
+        for j in range(bundle.ensemble.k):
+            assert seen[f"subset{j}"] == int((chosen == j).sum())
+
+    def test_empty_and_single_image_subsets(self, monkeypatch, tiny_bundle):
+        # two chunks of the 256-image batch: in the first subset 1 gets one
+        # image, in the second it gets none
+        ds, bundle = tiny_bundle
+        te = np.resize(ds.rows("test"), 260)  # the test split repeated
+        data = pipeline.DatasetHandle(
+            images=ds.images[te], labels=ds.labels[te], split=np.full(260, pipeline.TEST, np.uint8),
+            class_names=ds.class_names,
+        )
+        designed = {256: np.where(np.arange(256) == 5, 1, 0), 4: np.zeros(4, dtype=np.int64)}
+        select_batch = subset.select_batch
+
+        def routed(selector, images, base_feats):
+            select_batch(selector, images, base_feats)
+            return designed[images.shape[0]]
+
+        monkeypatch.setattr(subset, "select_batch", routed)
+        fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, data.images)
+        ref = all_k_reference(bundle, data.images, np.concatenate([designed[256], designed[4]]))
+        assert np.abs(fused - ref).max() <= 1e-12
+        assert np.array_equal(fusion.svm_predict_batch(bundle.svm, fused)[0],
+                              fusion.svm_predict_batch(bundle.svm, ref)[0])
+        calls = count_forward_images(monkeypatch, bundle)
+        evaluate(bundle, data, "test")
+        assert calls == [
+            ("base", 256), ("selector", 256), ("subset0", 255), ("subset1", 1),
+            ("base", 4), ("selector", 4), ("subset0", 4),
+        ]
 
 
 class TestPersistence:

@@ -64,7 +64,6 @@ class TestBuildPartition:
         perm = np.array([6, 2, 5, 0, 3, 1, 4])
         part_b = subset.build_partition(cmap, labels[perm])
         for sa, sb in zip(part_a.subsets, part_b.subsets):
-            assert set(sa.rows.tolist()) == set(perm.tolist().index(r) for r in sb.rows.tolist()) or True
             # membership sets are about which underlying rows belong: map back
             assert sorted(perm[sb.rows].tolist()) == sorted(sa.rows.tolist())
 
@@ -196,7 +195,7 @@ class TestSelectors:
         cfg = TrainConfig(epochs=15, batch_size=16, seed=3, learning_rate=0.01)
         sel = subset.train_selector_net(cmap, images, labels, base_net, cfg)
         te = ds.rows("test")
-        chosen = subset.select_batch(sel, ds.images[te])
+        chosen = subset.select_batch(sel, ds.images[te], base_net.forward(ds.images[te], Tap.FC_PENULTIMATE))
         truth = cmap.class_to_subset[ds.labels[te]]
         assert (chosen == truth).mean() >= 2.0 / cmap.k  # 2x chance for k=2 means perfect
 
@@ -211,7 +210,7 @@ class TestSelectors:
         cmap = ClassClusterMap(class_to_subset=np.array([0, 0, 1, 1]), k=2)
         cfg = TrainConfig(epochs=1, batch_size=8, seed=3, learning_rate=0.002)
         sel = subset.train_selector_net(cmap, images, labels, base_net, cfg)
-        chosen = subset.select_batch(sel, images[:1])
+        chosen = subset.select_batch(sel, images[:1], base_net.forward(images[:1], Tap.FC_PENULTIMATE))
         assert chosen.shape == (1,)
         probs = sel.net.forward(images[:1], Tap.HEAD)
         assert chosen[0] == int(probs.argmax())
@@ -223,8 +222,8 @@ class TestSelectors:
 
         lda = _cluster.lda_fit(feats, labels, out_dim=2)
         km = _cluster.kmeans_fit(lda_transform(lda, feats), 2, rng=Rng(0))
-        sel = CentroidSelector(kmeans=km, lda=lda, base=base_net)
-        chosen = subset.select_batch(sel, images)
+        sel = CentroidSelector(kmeans=km, lda=lda)
+        chosen = subset.select_batch(sel, images, feats)
         expected = kmeans_assign(km, lda_transform(lda, feats))
         assert np.array_equal(chosen, expected)
 
@@ -235,31 +234,66 @@ class TestSelectors:
         cmap = ClassClusterMap(class_to_subset=np.array([0, 1, 2, 0]), k=3)
         cfg = TrainConfig(epochs=1, batch_size=8, seed=3, learning_rate=0.002)
         sel = subset.train_selector_net(cmap, images, labels, base_net, cfg)
-        chosen = subset.select_batch(sel, images)
+        feats = base_net.forward(images, Tap.FC_PENULTIMATE)
+        chosen = subset.select_batch(sel, images, feats)
         assert chosen.shape == (images.shape[0],) and chosen.dtype == np.int64
         assert chosen.min() >= 0 and chosen.max() < cmap.k
         for i in range(images.shape[0]):
-            assert subset.select_batch(sel, images[i : i + 1]).tolist() == [chosen[i]]
+            assert subset.select_batch(sel, images[i : i + 1], feats[i : i + 1]).tolist() == [chosen[i]]
 
     def test_unknown_selector_rejected(self):
         with pytest.raises(ContractError):
-            subset.select_batch(object(), np.zeros((1, 3, 16, 16)))
+            subset.select_batch(object(), np.zeros((1, 3, 16, 16)), np.zeros((1, 8)))
 
 
 class TestExtractSubsetFeatures:
-    def test_shapes_and_definition(self, toy_data, base_net):
+    @pytest.fixture(scope="class")
+    def ensemble(self, toy_data, base_net):
         _, images, labels = toy_data
         cmap = ClassClusterMap(class_to_subset=np.array([0, 0, 1, 1]), k=2)
         part = subset.build_partition(cmap, labels)
         cfg = TrainConfig(epochs=1, batch_size=8, seed=5, learning_rate=0.002)
-        ens = subset.train_subset_nets(part, images, base_net, cfg)
-        feats = subset.extract_subset_features(ens, images[:6])
-        assert feats.shape == (6, 2, ens.feature_dim)
-        for k, net in enumerate(ens.nets):
-            assert np.array_equal(feats[:, k, :], net.forward(images[:6], ens.tap))
+        return subset.train_subset_nets(part, images, base_net, cfg)
+
+    def test_shapes_and_definition(self, toy_data, ensemble):
+        _, images, _ = toy_data
+        chosen = np.array([0, 1, 1, 0, 1, 1])
+        feats = subset.extract_subset_features(ensemble, images[:6], chosen)
+        assert feats.shape == (6, 2, ensemble.feature_dim)
+        for k, net in enumerate(ensemble.nets):
+            mine = chosen == k
+            assert np.array_equal(feats[mine, k, :], net.forward(images[:6][mine], ensemble.tap))
+            assert not feats[~mine, k, :].any()
+            # a row's features do not depend on which other rows share its batch
+            dense = net.forward(images[:6], ensemble.tap)
+            assert np.abs(feats[mine, k, :] - dense[mine]).max() <= 1e-12
+
+    def test_each_net_runs_only_on_its_rows(self, toy_data, ensemble, monkeypatch):
+        _, images, _ = toy_data
+        seen = []
+        forward = convnet.forward
+
+        def counting(spec, params, batch, tap=Tap.HEAD):
+            seen.append((params, batch.shape[0]))
+            return forward(spec, params, batch, tap)
+
+        monkeypatch.setattr(convnet, "forward", counting)
+        feats = subset.extract_subset_features(ensemble, images[:5], np.zeros(5, dtype=np.int64))
+        assert [(p is ensemble.nets[0].params, n) for p, n in seen] == [(True, 5)]
+        assert not feats[:, 1, :].any()  # subset 1 got no image and its net never ran
+        seen.clear()
+        subset.extract_subset_features(ensemble, images[:5], np.array([0, 0, 1, 0, 0]))
+        assert [n for _, n in seen] == [4, 1]
 
     def test_identical_nets_identical_features(self, toy_data, base_net):
         _, images, _ = toy_data
         ens = subset.SubsetEnsemble(k=2, nets=(base_net, base_net))
-        feats = subset.extract_subset_features(ens, images[:4])
-        assert np.array_equal(feats[:, 0, :], feats[:, 1, :])
+        first = subset.extract_subset_features(ens, images[:4], np.zeros(4, dtype=np.int64))
+        second = subset.extract_subset_features(ens, images[:4], np.ones(4, dtype=np.int64))
+        assert np.array_equal(first[:, 0, :], second[:, 1, :])
+
+    @pytest.mark.parametrize("chosen", [[0, 2, 1, 0], [0, -1, 1, 0], [0, 1, 1]])
+    def test_bad_choice_rejected(self, toy_data, ensemble, chosen):
+        _, images, _ = toy_data
+        with pytest.raises(ContractError):
+            subset.extract_subset_features(ensemble, images[:4], np.array(chosen))
