@@ -99,9 +99,9 @@ def _parse_value(section: str, key: str, raw: str, cast):
 def parse_config(path, seed_override: int | None = None) -> RunConfig:
     """Parse and validate a run configuration file.
 
-    Every problem raises ConfigError: unknown keys, unparsable values, missing
-    datasets, values SystemConfig or the stage graph rejects, no seeds, or
-    referenced files that do not exist.
+    Every problem raises ConfigError: unknown sections or keys, unparsable
+    values, missing datasets, values SystemConfig or the stage graph rejects,
+    no seeds, or referenced files that do not exist.
     """
     path = Path(path)
     if not path.is_file():
@@ -117,6 +117,9 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
     allowed = {"run": {"seeds", "seed", "target"}, "graph": {"stages"}}
     for section, key in _SYSTEM_KEYS:
         allowed.setdefault(section, set()).add(key)
+    for section in parser.sections():
+        if section not in allowed and section != "train" and not section.startswith("dataset."):
+            raise ConfigError(f"unknown section [{section}]")
     for section, keys in allowed.items():
         unknown = sorted(set(parser[section]) - keys) if section in parser else []
         if unknown:

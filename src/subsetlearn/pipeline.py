@@ -6,7 +6,10 @@ datasets and model bundles.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,6 +258,33 @@ def parse_stage_graph(text: str) -> StageGraph:
     return graph
 
 
+# Stage outputs this process has trained, most recently used last: prefix key ->
+# (net, per-epoch loss history).  A default-spec net is about 50 KB.
+STAGE_CACHE_SIZE = 8
+_STAGE_CACHE: OrderedDict[str, tuple[Network, list[float]]] = OrderedDict()
+_STAGE_CACHE_LOCK = threading.Lock()
+
+
+def _cached_stage(key: str) -> tuple[Network, list[float]] | None:
+    with _STAGE_CACHE_LOCK:
+        hit = _STAGE_CACHE.get(key)
+        if hit is not None:
+            _STAGE_CACHE.move_to_end(key)
+        return hit
+
+
+def _cache_stage(key: str, net: Network, history: list[float]) -> None:
+    for lp in net.params.layers:
+        if lp is not None:
+            lp.weight.setflags(write=False)
+            lp.bias.setflags(write=False)
+    with _STAGE_CACHE_LOCK:
+        _STAGE_CACHE[key] = (net, list(history))
+        _STAGE_CACHE.move_to_end(key)
+        while len(_STAGE_CACHE) > STAGE_CACHE_SIZE:
+            _STAGE_CACHE.popitem(last=False)
+
+
 def run_stage_graph(
     graph: StageGraph,
     datasets: dict[str, DatasetHandle],
@@ -265,6 +295,12 @@ def run_stage_graph(
     Stage one trains from scratch; every later stage re-initializes the head
     for its dataset's class count and fine-tunes at a tenth of the scratch
     learning rate (unless the stage overrides it).
+
+    Training is deterministic in ``base_cfg``, the stage specs so far and the
+    train tensors they read, so each stage prefix is keyed by a SHA-256 chain
+    over exactly those (not dataset names or object identity).  A prefix this
+    process has already trained is reused bit-identically from an LRU of
+    STAGE_CACHE_SIZE stage outputs; the returned net's arrays are read-only.
     """
     graph.validate()
     base_cfg.validate()
@@ -273,11 +309,22 @@ def run_stage_graph(
             raise ContractError(f"stage graph references missing dataset {stage.dataset!r}")
     net: Network | None = None
     histories: list[list[float]] = []
+    prefix = hashlib.sha256(repr(base_cfg).encode())
     for i, stage in enumerate(graph.stages):
         ds = datasets[stage.dataset]
         rows = ds.rows("train")
         images, labels = ds.images[rows], ds.labels[rows]
         epochs = stage.epochs if stage.epochs is not None else base_cfg.epochs
+        knobs = (i, stage.mode, epochs, stage.learning_rate, stage.freeze_below, ds.n_classes)
+        prefix.update(repr(knobs + (images.shape, images.dtype, labels.dtype)).encode())
+        prefix.update(np.ascontiguousarray(images))
+        prefix.update(np.ascontiguousarray(labels))
+        key = prefix.hexdigest()
+        hit = _cached_stage(key)
+        if hit is not None:
+            net, history = hit
+            histories.append(list(history))
+            continue
         if stage.mode == "rt":
             spec = convnet.default_spec(ds.images.shape[1:], ds.n_classes)
             params = convnet.init_params(spec, Rng(derive_seed(base_cfg.seed, 1000 + i)))
@@ -301,6 +348,7 @@ def run_stage_graph(
         )
         params, history = convnet.train(spec, params, images, labels, cfg)
         net = Network(spec, params)
+        _cache_stage(key, net, history)
         histories.append(history)
     return StageResult(net=net, histories=histories, name=graph.name, steps=graph.steps)
 
@@ -630,6 +678,8 @@ def load_dataset(path) -> DatasetHandle:
     tensors, meta = container.read_container(path)
     try:
         info = json.loads(meta)
+        if not isinstance(info, dict):
+            raise InvariantError(f"{path}: dataset metadata is not a JSON object")
         if info.get("kind") != "dataset":
             raise InvariantError(f"{path}: not a dataset container")
         names = tuple(str(n) for n in info["class_names"])
@@ -687,6 +737,8 @@ def load_bundle(path) -> ModelBundle:
         info = json.loads(meta)
     except json.JSONDecodeError as exc:
         raise InvariantError(f"{path}: malformed bundle metadata") from exc
+    if not isinstance(info, dict):
+        raise InvariantError(f"{path}: bundle metadata is not a JSON object")
     if info.get("kind") != "bundle":
         raise InvariantError(f"{path}: not a bundle container")
     try:

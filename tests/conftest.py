@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import subsetlearn
+from subsetlearn import pipeline
 
 PACKAGE_ROOT = str(Path(subsetlearn.__file__).resolve().parent.parent)
 
@@ -33,3 +34,9 @@ def run_cli():
         )
 
     return run
+
+
+@pytest.fixture(autouse=True)
+def cold_stage_cache():
+    """Each test starts with no stage outputs cached in-process by an earlier test."""
+    pipeline._STAGE_CACHE.clear()

@@ -231,6 +231,18 @@ class TestEval:
         )
         assert result.returncode == 4
 
+    def test_non_object_metadata_exit_3(self, run_cli, tmp_path, config_file):
+        out = tmp_path / "out"
+        generated = run_cli("--out-dir", str(out), "gen", "--config", str(config_file), cwd=tmp_path)
+        assert generated.returncode == 0, generated.stderr
+        bundle_path = tmp_path / "list.sfl"
+        container.write_container(bundle_path, {"x": np.zeros(2)}, "[]")
+        ev = tmp_path / "ev"
+        result = run_cli("--out-dir", str(ev), "eval", str(bundle_path), str(out / "target.sfl"), cwd=tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert "not a JSON object" in result.stderr
+        assert not (ev / "metrics.csv").exists()
+
     def test_missing_bundle_is_other_error(self, run_cli, tmp_path, config_file):
         out = tmp_path / "out"
         generated = run_cli("--out-dir", str(out), "gen", "--config", str(config_file), cwd=tmp_path)
@@ -286,6 +298,13 @@ class TestConfigParsing:
         path = tmp_path / "run.ini"
         path.write_text(with_entry(section, f"{key} = 0"))
         with pytest.raises(ConfigError, match=f"\\[{section}\\] unknown key '{key}'"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("section", ["svms", "Run", "training", "dataset", "datasets.extra", "graph.extra"])
+    def test_unknown_section_rejected(self, tmp_path, section):
+        path = tmp_path / "run.ini"
+        path.write_text(with_entry(section, "lambda = 0"))
+        with pytest.raises(ConfigError, match=f"unknown section \\[{section}\\]"):
             parse_config(path)
 
     def test_target_must_exist(self, tmp_path):

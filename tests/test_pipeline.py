@@ -116,6 +116,93 @@ class TestGenerateSynthetic:
             generate_synthetic(image_size=8, jitter=3)
 
 
+def sweep_datasets():
+    """Three small datasets named as in the transfer sweep."""
+    return {
+        "general": generate_synthetic(**{**TINY, "seed": 7, "n_groups": 2, "classes_per_group": 3}),
+        "domain": generate_synthetic(**{**TINY, "seed": 8}),
+        "target": generate_synthetic(**TINY),
+    }
+
+
+SWEEP_CFG = TrainConfig(epochs=2, seed=3, learning_rate=0.02, batch_size=12)
+GENTLE = dict(epochs=1, learning_rate=1e-3, freeze_below=7)
+SWEEP = {
+    "g1": StageGraph((StageSpec("target", "rt"),)),
+    "g2": StageGraph((StageSpec("domain", "rt"), StageSpec("target", "ft", **GENTLE))),
+    "g2b": StageGraph((StageSpec("general", "rt"), StageSpec("domain", "ft"))),
+    "g3": StageGraph((StageSpec("general", "rt"), StageSpec("domain", "ft"), StageSpec("target", "ft", **GENTLE))),
+}
+
+
+def assert_same_result(a, b):
+    assert a.name == b.name and a.steps == b.steps
+    assert a.histories == b.histories
+    assert a.net.spec == b.net.spec
+    for la, lb in zip(a.net.params.layers, b.net.params.layers, strict=True):
+        assert (la is None) == (lb is None)
+        if la is not None:
+            assert np.array_equal(la.weight, lb.weight) and la.weight.dtype == lb.weight.dtype
+            assert np.array_equal(la.bias, lb.bias) and la.bias.dtype == lb.bias.dtype
+
+
+def count_train_calls(monkeypatch) -> list:
+    calls = []
+    train = convnet.train
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(convnet, "train", counting)
+    return calls
+
+
+def edit_row(ds, column: str, row: int, index: tuple, edit):
+    """A copy of ``ds`` whose ``column[row, *index]`` is replaced by ``edit`` of it."""
+    values = getattr(ds, column).copy()
+    values[(row, *index)] = edit(values[(row, *index)])
+    return dataclasses.replace(ds, **{column: values})
+
+
+def bump_pixel(datasets, name: str, split: str):
+    """``datasets`` with one pixel of the first ``split`` image of ``name`` raised."""
+    ds = datasets[name]
+    return {**datasets, name: edit_row(ds, "images", ds.rows(split)[0], (2, 7, 9), lambda v: v + 0.25)}
+
+
+def relabel(datasets, name: str):
+    ds = datasets[name]
+    new = edit_row(ds, "labels", ds.rows("train")[0], (), lambda y: (y + 1) % ds.n_classes)
+    return {**datasets, name: new}
+
+
+def with_ft(graph, **change):
+    return StageGraph((graph.stages[0], dataclasses.replace(graph.stages[1], **change)))
+
+
+def renamed(datasets, graph):
+    names = {"general": "g", "domain": "d"}
+    stages = tuple(dataclasses.replace(s, dataset=names[s.dataset]) for s in graph.stages)
+    return {names[k]: datasets[k] for k in names}, StageGraph(stages)
+
+
+# change applied after a g2b run -> (stages that must train again, edit(datasets, graph, cfg))
+KEY_CHANGES = {
+    "nothing": (0, lambda d, g, c: (d, g, c)),
+    "general pixel": (2, lambda d, g, c: (bump_pixel(d, "general", "train"), g, c)),
+    "domain pixel": (1, lambda d, g, c: (bump_pixel(d, "domain", "train"), g, c)),
+    "domain label": (1, lambda d, g, c: (relabel(d, "domain"), g, c)),
+    "domain test pixel": (0, lambda d, g, c: (bump_pixel(d, "domain", "test"), g, c)),  # training reads train rows
+    "stage epochs": (1, lambda d, g, c: (d, with_ft(g, epochs=3), c)),
+    "stage learning_rate": (1, lambda d, g, c: (d, with_ft(g, learning_rate=0.01), c)),
+    "stage freeze_below": (1, lambda d, g, c: (d, with_ft(g, freeze_below=2), c)),
+    "seed": (2, lambda d, g, c: (d, g, dataclasses.replace(c, seed=c.seed + 1))),
+    "batch_size": (2, lambda d, g, c: (d, g, dataclasses.replace(c, batch_size=c.batch_size - 1))),
+    "dataset names": (0, lambda d, g, c: (*renamed(d, g), c)),
+}
+
+
 class TestStageGraph:
     def make_datasets(self):
         a = generate_synthetic(**TINY)
@@ -185,6 +272,66 @@ class TestStageGraph:
         with pytest.raises(ContractError):
             pipeline.parse_stage_graph("a:rt:3:9")
 
+    def test_cached_results_bit_identical_to_cold_runs(self):
+        datasets = sweep_datasets()
+        cold = {}
+        for name, graph in SWEEP.items():
+            pipeline._STAGE_CACHE.clear()
+            cold[name] = run_stage_graph(graph, datasets, SWEEP_CFG)
+        pipeline._STAGE_CACHE.clear()
+        for name, graph in SWEEP.items():
+            assert_same_result(run_stage_graph(graph, datasets, SWEEP_CFG), cold[name])
+
+    def test_shared_prefix_trains_once(self, monkeypatch):
+        calls = count_train_calls(monkeypatch)
+        datasets = sweep_datasets()
+        run_stage_graph(SWEEP["g2b"], datasets, SWEEP_CFG)
+        assert len(calls) == 2
+        run_stage_graph(SWEEP["g3"], datasets, SWEEP_CFG)
+        assert len(calls) == 3  # only the target:ft stage is new
+
+    @pytest.mark.parametrize("change", KEY_CHANGES)
+    def test_every_training_input_is_in_the_key(self, monkeypatch, change):
+        trained, edit = KEY_CHANGES[change]
+        datasets, graph, cfg = sweep_datasets(), SWEEP["g2b"], SWEEP_CFG
+        run_stage_graph(graph, datasets, cfg)
+        datasets, graph, cfg = edit(datasets, graph, cfg)
+        calls = count_train_calls(monkeypatch)
+        run_stage_graph(graph, datasets, cfg)
+        assert len(calls) == trained
+
+    def test_least_recently_used_stage_is_evicted(self, monkeypatch):
+        datasets = sweep_datasets()
+
+        def run(seed):
+            run_stage_graph(SWEEP["g1"], datasets, dataclasses.replace(SWEEP_CFG, seed=seed, epochs=1))
+
+        for seed in range(pipeline.STAGE_CACHE_SIZE):
+            run(seed)
+        calls = count_train_calls(monkeypatch)
+        run(0)  # a hit makes seed 0 the most recently used
+        run(pipeline.STAGE_CACHE_SIZE)  # the ninth distinct stage evicts seed 1
+        assert len(calls) == 1 and len(pipeline._STAGE_CACHE) == pipeline.STAGE_CACHE_SIZE
+        run(0)
+        assert len(calls) == 1
+        run(1)
+        assert len(calls) == 2
+
+    def test_returned_nets_and_histories_cannot_poison_later_hits(self):
+        datasets = sweep_datasets()
+        first = run_stage_graph(SWEEP["g2b"], datasets, SWEEP_CFG)
+        expected = [list(h) for h in first.histories]
+        first.histories[0].append(99.0)
+        with pytest.raises(ValueError):
+            first.net.params.layers[0].weight[0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            first.net.params.layers[first.net.spec.head_index()].bias[0] = 1.0
+        for _ in range(2):  # a miss, then hits
+            result = run_stage_graph(SWEEP["g2b"], datasets, SWEEP_CFG)
+            assert result.histories == expected
+            assert result.net.params.layers[0].weight.flags.writeable is False
+            result.histories[0].append(99.0)
+
 
 class TestMetrics:
     def test_perfect_predictions(self):
@@ -232,6 +379,7 @@ class TestBuildSystem:
     def test_deterministic_metrics(self):
         ds = generate_synthetic(**TINY)
         a = evaluate(build_system(ds, config=TINY_SYSTEM), ds, "test")
+        pipeline._STAGE_CACHE.clear()  # the second build must train its base net again
         b = evaluate(build_system(ds, config=TINY_SYSTEM), ds, "test")
         assert a.mean_accuracy == b.mean_accuracy
         assert a.overall_accuracy == b.overall_accuracy
@@ -474,6 +622,24 @@ class TestPersistence:
         save_dataset(path, ds)
         with pytest.raises(InvariantError):
             load_bundle(path)
+
+    @pytest.mark.parametrize("meta", ["[]", "null", "3", '"bundle"'])
+    def test_bundle_metadata_must_be_an_object(self, tmp_path, tiny_bundle, meta):
+        path = tmp_path / "b.sfl"
+        save_bundle(path, tiny_bundle[1])
+        tensors, _ = pipeline.container.read_container(path)
+        pipeline.container.write_container(path, tensors, meta)
+        with pytest.raises(InvariantError, match="not a JSON object"):
+            load_bundle(path)
+
+    @pytest.mark.parametrize("meta", ["[]", "null", "3", '"dataset"'])
+    def test_dataset_metadata_must_be_an_object(self, tmp_path, meta):
+        path = tmp_path / "ds.sfl"
+        save_dataset(path, generate_synthetic(**TINY))
+        tensors, _ = pipeline.container.read_container(path)
+        pipeline.container.write_container(path, tensors, meta)
+        with pytest.raises(InvariantError, match="not a JSON object"):
+            load_dataset(path)
 
 
 class TestFeatureSvmProtocol:
