@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,39 +37,215 @@ class Tap(str, Enum):
 
 
 @dataclass(frozen=True)
-class Conv:
+class LayerParams:
+    weight: np.ndarray
+    bias: np.ndarray
+
+
+def _window_shape(layer, in_shape: tuple[int, ...], channels: int) -> tuple[int, int, int]:
+    """(channels, Ho, Wo) after sliding a conv or maxpool layer's window over (C, H, W)."""
+    if layer.kernel < 1 or layer.stride < 1:
+        raise ContractError(f"{layer.tag} kernel and stride must be >= 1")
+    out = (channels,) + tuple((n - layer.kernel) // layer.stride + 1 for n in in_shape[1:])
+    if min(out) < 1:
+        raise ShapeError(f"{layer.tag} output shape is not positive for input {in_shape}")
+    return out
+
+
+def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """(B, C, Ho, Wo, k, k) view of the k x k windows of x at the given stride."""
+    return np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+
+
+def _im2col(x: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, int, int]:
+    win = _windows(x, k, stride)
+    b, c, ho, wo = win.shape[:4]
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(b, ho * wo, c * k * k)
+    return cols, ho, wo
+
+
+def _col2im(dcols: np.ndarray, x_shape, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    b, c, h, w = x_shape
+    dwin = dcols.reshape(b, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+    dx = np.zeros(x_shape)
+    for i in range(k):
+        for j in range(k):
+            dx[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dwin[:, :, :, :, i, j]
+    return dx
+
+
+class Layer:
+    """One layer type.  Its JSON form is its tag followed by its dataclass
+    fields, all integers.  Shapes exclude the batch axis.
+
+    ``forward(x, lp)`` returns the output and the cache that ``backward``
+    needs; ``backward(dy, cache, lp, need_dx)`` returns the gradient w.r.t.
+    the input (None unless ``need_dx``) and the parameter gradients (None for
+    a stateless layer).
+    """
+
+    tag: ClassVar[str]
+
+    def to_json(self) -> list:
+        return [self.tag, *(getattr(self, f.name) for f in dataclasses.fields(self))]
+
+    def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
+        return in_shape
+
+    def param_shapes(self, in_shape: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        return None
+
+
+@dataclass(frozen=True)
+class Conv(Layer):
+    """Valid (unpadded) convolution."""
+
     out_channels: int
     kernel: int
     stride: int = 1
+    tag = "conv"
+
+    def out_shape(self, in_shape):
+        return _window_shape(self, in_shape, self.out_channels)
+
+    def param_shapes(self, in_shape):
+        return (self.out_channels, in_shape[0], self.kernel, self.kernel), (self.out_channels,)
+
+    def forward(self, x, lp):
+        o, c, k, _ = lp.weight.shape
+        cols, ho, wo = _im2col(x, k, self.stride)
+        y = cols @ lp.weight.reshape(o, c * k * k).T + lp.bias
+        y = y.reshape(x.shape[0], ho, wo, o).transpose(0, 3, 1, 2)
+        return np.ascontiguousarray(y), (cols, x.shape, ho, wo)
+
+    def backward(self, dy, cache, lp, need_dx):
+        cols, x_shape, ho, wo = cache
+        o, c, k, _ = lp.weight.shape
+        dym = dy.transpose(0, 2, 3, 1).reshape(x_shape[0], ho * wo, o)
+        dw = np.tensordot(dym, cols, axes=([0, 1], [0, 1])).reshape(lp.weight.shape)
+        grads = LayerParams(dw, dy.sum(axis=(0, 2, 3)))
+        if not need_dx:
+            return None, grads
+        dcols = dym @ lp.weight.reshape(o, c * k * k)
+        return _col2im(dcols, x_shape, k, self.stride, ho, wo), grads
 
 
 @dataclass(frozen=True)
-class Relu:
-    pass
+class Relu(Layer):
+    tag = "relu"
+
+    def forward(self, x, lp):
+        return np.maximum(x, 0.0), x > 0
+
+    def backward(self, dy, mask, lp, need_dx):
+        return (dy * mask if need_dx else None), None
 
 
 @dataclass(frozen=True)
-class MaxPool:
+class MaxPool(Layer):
     kernel: int
     stride: int
+    tag = "maxpool"
+
+    def out_shape(self, in_shape):
+        return _window_shape(self, in_shape, in_shape[0])
+
+    def forward(self, x, lp):
+        win = _windows(x, self.kernel, self.stride)
+        flat = win.reshape(win.shape[:4] + (-1,))
+        idx = flat.argmax(axis=-1)
+        y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+        return np.ascontiguousarray(y), (idx, x.shape)
+
+    def backward(self, dy, cache, lp, need_dx):
+        if not need_dx:
+            return None, None
+        idx, x_shape = cache
+        b, c, ho, wo = idx.shape
+        di, dj = np.divmod(idx, self.kernel)
+        rows = self.stride * np.arange(ho)[None, None, :, None] + di
+        cols = self.stride * np.arange(wo)[None, None, None, :] + dj
+        bi = np.arange(b)[:, None, None, None]
+        ci = np.arange(c)[None, :, None, None]
+        dx = np.zeros(x_shape)
+        np.add.at(dx, (bi, ci, rows, cols), dy)
+        return dx, None
 
 
 @dataclass(frozen=True)
-class Flatten:
-    pass
+class Flatten(Layer):
+    tag = "flatten"
+
+    def out_shape(self, in_shape):
+        return (int(np.prod(in_shape)),)
+
+    def forward(self, x, lp):
+        return x.reshape(x.shape[0], -1), x.shape
+
+    def backward(self, dy, x_shape, lp, need_dx):
+        return (dy.reshape(x_shape) if need_dx else None), None
 
 
 @dataclass(frozen=True)
-class Fc:
+class Fc(Layer):
+    """Fully connected."""
+
     out_dim: int
+    tag = "fc"
+
+    def out_shape(self, in_shape):
+        if len(in_shape) != 1:
+            raise ShapeError("fc layer requires a flattened input")
+        if self.out_dim < 1:
+            raise ContractError("fc out_dim must be >= 1")
+        return (self.out_dim,)
+
+    def param_shapes(self, in_shape):
+        return (self.out_dim, in_shape[0]), (self.out_dim,)
+
+    def forward(self, x, lp):
+        return x @ lp.weight.T + lp.bias, x
+
+    def backward(self, dy, x, lp, need_dx):
+        return (dy @ lp.weight if need_dx else None), LayerParams(dy.T @ x, dy.sum(axis=0))
 
 
 @dataclass(frozen=True)
-class Softmax:
-    pass
+class Softmax(Layer):
+    """Class probabilities.  Training combines it with the cross-entropy, so
+    the gradient handed to ``backward`` is already w.r.t. its input."""
+
+    tag = "softmax"
+
+    def out_shape(self, in_shape):
+        if len(in_shape) != 1:
+            raise ShapeError("softmax requires a flattened input")
+        return in_shape
+
+    def forward(self, z, lp):
+        shifted = z - z.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        return e / e.sum(axis=1, keepdims=True), None
+
+    def backward(self, dy, cache, lp, need_dx):
+        return dy, None
 
 
-Layer = Conv | Relu | MaxPool | Flatten | Fc | Softmax
+_LAYER_TYPES = {cls.tag: cls for cls in (Conv, Relu, MaxPool, Flatten, Fc, Softmax)}
+
+
+def layer_from_json(entry) -> Layer:
+    """Inverse of ``Layer.to_json``: a known tag, then exactly one JSON integer
+    per field of its class.  Raises ContractError otherwise."""
+    tag = entry[0] if isinstance(entry, list) and entry else None
+    cls = _LAYER_TYPES.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise ContractError(f"unknown layer {entry!r}")
+    args = entry[1:]
+    if len(args) != len(dataclasses.fields(cls)) or any(type(a) is not int for a in args):
+        names = [f.name for f in dataclasses.fields(cls)]
+        raise ContractError(f"layer {entry!r} must give integers for exactly {names}")
+    return cls(*args)
 
 
 @dataclass(frozen=True)
@@ -125,55 +302,30 @@ class NetSpec:
         shapes: list[tuple[int, ...]] = []
         cur: tuple[int, ...] = self.input_shape
         for layer in self.layers:
-            if isinstance(layer, Conv):
-                c, h, w = cur
-                if layer.kernel < 1 or layer.stride < 1:
-                    raise ContractError("conv kernel and stride must be >= 1")
-                ho = (h - layer.kernel) // layer.stride + 1
-                wo = (w - layer.kernel) // layer.stride + 1
-                if layer.out_channels < 1 or ho < 1 or wo < 1:
-                    raise ShapeError(f"conv output shape is not positive for input {cur}")
-                cur = (layer.out_channels, ho, wo)
-            elif isinstance(layer, MaxPool):
-                c, h, w = cur
-                if layer.kernel < 1 or layer.stride < 1:
-                    raise ContractError("maxpool kernel and stride must be >= 1")
-                ho = (h - layer.kernel) // layer.stride + 1
-                wo = (w - layer.kernel) // layer.stride + 1
-                if ho < 1 or wo < 1:
-                    raise ShapeError(f"maxpool output shape is not positive for input {cur}")
-                cur = (c, ho, wo)
-            elif isinstance(layer, Relu):
-                pass
-            elif isinstance(layer, Flatten):
-                cur = (int(np.prod(cur)),)
-            elif isinstance(layer, Fc):
-                if len(cur) != 1:
-                    raise ShapeError("fc layer requires a flattened input")
-                if layer.out_dim < 1:
-                    raise ContractError("fc out_dim must be >= 1")
-                cur = (layer.out_dim,)
-            elif isinstance(layer, Softmax):
-                if len(cur) != 1:
-                    raise ShapeError("softmax requires a flattened input")
-            else:  # pragma: no cover
-                raise ContractError(f"unknown layer {layer!r}")
+            cur = layer.out_shape(cur)
             shapes.append(cur)
         return shapes
 
+    def param_shapes(self) -> list[tuple[tuple[int, ...], tuple[int, ...]] | None]:
+        """Per layer: (weight shape, bias shape) for parametric layers, else None."""
+        in_shapes = [self.input_shape] + self.layer_shapes()
+        return [layer.param_shapes(s) for layer, s in zip(self.layers, in_shapes)]
+
+    def tap_index(self, tap: Tap) -> int:
+        """Where a tap reads in [input] + each layer's output: the input of the
+        flatten layer, the input of the head, or the softmax output."""
+        index = {
+            Tap.CONV_LAST: self.flatten_index(),
+            Tap.FC_PENULTIMATE: self.head_index(),
+            Tap.HEAD: len(self.layers),
+        }.get(tap)
+        if index is None:
+            raise ContractError(f"unknown tap {tap!r}")
+        return index
+
     def tap_dim(self, tap: Tap) -> int:
-        shapes = self.layer_shapes()
-        if tap is Tap.HEAD:
-            return self.class_count
-        if tap is Tap.FC_PENULTIMATE:
-            idx = self.head_index()
-            shape = shapes[idx - 1] if idx > 0 else self.input_shape
-            return int(np.prod(shape))
-        if tap is Tap.CONV_LAST:
-            idx = self.flatten_index()
-            shape = shapes[idx - 1] if idx > 0 else self.input_shape
-            return int(np.prod(shape))
-        raise ContractError(f"unknown tap {tap!r}")
+        shapes = [self.input_shape] + self.layer_shapes()
+        return int(np.prod(shapes[self.tap_index(tap)]))
 
 
 def default_spec(input_shape: tuple[int, int, int] = (3, 16, 16), class_count: int = 12) -> NetSpec:
@@ -195,12 +347,6 @@ def default_spec(input_shape: tuple[int, int, int] = (3, 16, 16), class_count: i
         input_shape=input_shape,
         class_count=class_count,
     )
-
-
-@dataclass(frozen=True)
-class LayerParams:
-    weight: np.ndarray
-    bias: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -276,26 +422,11 @@ class TrainConfig:
         return self.learning_rate
 
 
-def expected_param_shapes(spec: NetSpec) -> list[tuple[tuple[int, ...], tuple[int, ...]] | None]:
-    """Per layer: (weight shape, bias shape) for parametric layers, else None."""
-    shapes: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = []
-    cur: tuple[int, ...] = spec.input_shape
-    for layer, out_shape in zip(spec.layers, spec.layer_shapes()):
-        if isinstance(layer, Conv):
-            shapes.append(((layer.out_channels, cur[0], layer.kernel, layer.kernel), (layer.out_channels,)))
-        elif isinstance(layer, Fc):
-            shapes.append(((layer.out_dim, cur[0]), (layer.out_dim,)))
-        else:
-            shapes.append(None)
-        cur = out_shape
-    return shapes
-
-
 def check_params(spec: NetSpec, params: NetParams) -> None:
     """Raise ShapeError unless params align with spec (shapes and finiteness)."""
     if len(params.layers) != len(spec.layers):
         raise ShapeError("params do not align with the spec's layers")
-    for lp, expected in zip(params.layers, expected_param_shapes(spec)):
+    for lp, expected in zip(params.layers, spec.param_shapes()):
         if (lp is None) != (expected is None):
             raise ShapeError("params do not align with the spec's layers")
         if lp is None:
@@ -308,121 +439,30 @@ def check_params(spec: NetSpec, params: NetParams) -> None:
             raise ContractError("parameters contain non-finite values")
 
 
+def _fan_in_init(shapes: tuple[tuple[int, ...], tuple[int, ...]], rng: Rng) -> LayerParams:
+    w_shape, b_shape = shapes
+    fan_in = int(np.prod(w_shape[1:]))
+    return LayerParams(rng.normal(w_shape, scale=1.0 / np.sqrt(fan_in)), np.zeros(b_shape))
+
+
 def init_params(spec: NetSpec, rng: Rng) -> NetParams:
     """Scaled-normal fan-in initialization (variance 1/fan_in), zero biases.
 
     Deterministic for a given rng seed: draws happen in layer order.
     """
-    params: list[LayerParams | None] = []
-    for shapes in expected_param_shapes(spec):
-        if shapes is None:
-            params.append(None)
-            continue
-        w_shape, b_shape = shapes
-        fan_in = int(np.prod(w_shape[1:]))
-        params.append(LayerParams(rng.normal(w_shape, scale=1.0 / np.sqrt(fan_in)), np.zeros(b_shape)))
-    return NetParams(tuple(params))
-
-
-# ---------------------------------------------------------------------------
-# per-layer forward/backward kernels
-
-
-def _im2col(x: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, int, int]:
-    b, c, h, w = x.shape
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride, :, :]
-    ho, wo = win.shape[2], win.shape[3]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(b, ho * wo, c * k * k)
-    return cols, ho, wo
-
-
-def _col2im(dcols: np.ndarray, x_shape, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    b, c, h, w = x_shape
-    dwin = dcols.reshape(b, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
-    dx = np.zeros(x_shape)
-    for i in range(k):
-        for j in range(k):
-            dx[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dwin[:, :, :, :, i, j]
-    return dx
-
-
-def _conv_forward(x, weight, bias, stride):
-    o, c, k, _ = weight.shape
-    cols, ho, wo = _im2col(x, k, stride)
-    wmat = weight.reshape(o, c * k * k)
-    y = cols @ wmat.T + bias
-    y = y.reshape(x.shape[0], ho, wo, o).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(y), (cols, x.shape, weight, stride, ho, wo)
-
-
-def _conv_backward(dy, cache):
-    cols, x_shape, weight, stride, ho, wo = cache
-    b = x_shape[0]
-    o, c, k, _ = weight.shape
-    dym = dy.transpose(0, 2, 3, 1).reshape(b, ho * wo, o)
-    wmat = weight.reshape(o, c * k * k)
-    dw = np.tensordot(dym, cols, axes=([0, 1], [0, 1])).reshape(weight.shape)
-    db = dy.sum(axis=(0, 2, 3))
-    dcols = dym @ wmat
-    dx = _col2im(dcols, x_shape, k, stride, ho, wo)
-    return dx, dw, db
-
-
-def _maxpool_forward(x, k, stride):
-    b, c, h, w = x.shape
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride, :, :]
-    ho, wo = win.shape[2], win.shape[3]
-    flat = win.reshape(b, c, ho, wo, k * k)
-    idx = flat.argmax(axis=-1)
-    y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    return np.ascontiguousarray(y), (idx, x.shape, k, stride, ho, wo)
-
-
-def _maxpool_backward(dy, cache):
-    idx, x_shape, k, stride, ho, wo = cache
-    b, c, h, w = x_shape
-    di, dj = np.divmod(idx, k)
-    rows = stride * np.arange(ho)[None, None, :, None] + di
-    cols = stride * np.arange(wo)[None, None, None, :] + dj
-    bi = np.arange(b)[:, None, None, None]
-    ci = np.arange(c)[None, :, None, None]
-    dx = np.zeros(x_shape)
-    np.add.at(dx, (bi, ci, rows, cols), dy)
-    return dx
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return NetParams(
+        tuple(None if shapes is None else _fan_in_init(shapes, rng) for shapes in spec.param_shapes())
+    )
 
 
 def _run_layers(spec: NetSpec, params: NetParams, x: np.ndarray):
-    """Forward pass collecting per-layer inputs and backward caches."""
-    caches = []
-    inputs = []
+    """Forward pass: [input] + each layer's output, and each layer's backward cache."""
+    acts, caches = [x], []
     for layer, lp in zip(spec.layers, params.layers):
-        inputs.append(x)
-        if isinstance(layer, Conv):
-            x, cache = _conv_forward(x, lp.weight, lp.bias, layer.stride)
-        elif isinstance(layer, Relu):
-            cache = x > 0
-            x = np.maximum(x, 0.0)
-        elif isinstance(layer, MaxPool):
-            x, cache = _maxpool_forward(x, layer.kernel, layer.stride)
-        elif isinstance(layer, Flatten):
-            cache = x.shape
-            x = x.reshape(x.shape[0], -1)
-        elif isinstance(layer, Fc):
-            cache = x
-            x = x @ lp.weight.T + lp.bias
-        elif isinstance(layer, Softmax):
-            cache = None
-            x = _softmax(x)
+        x, cache = layer.forward(x, lp)
+        acts.append(x)
         caches.append(cache)
-    return x, inputs, caches
+    return acts, caches
 
 
 def _check_batch(spec: NetSpec, batch: np.ndarray) -> np.ndarray:
@@ -437,16 +477,9 @@ def _check_batch(spec: NetSpec, batch: np.ndarray) -> np.ndarray:
 def forward(spec: NetSpec, params: NetParams, batch: np.ndarray, tap: Tap = Tap.HEAD) -> np.ndarray:
     """Activations at the requested tap for a batch.  Pure and reentrant."""
     batch = _check_batch(spec, batch)
-    out, inputs, _ = _run_layers(spec, params, batch)
-    if tap is Tap.HEAD:
-        return out
-    if tap is Tap.FC_PENULTIMATE:
-        feat = inputs[spec.head_index()]
-        return feat.reshape(feat.shape[0], -1)
-    if tap is Tap.CONV_LAST:
-        feat = inputs[spec.flatten_index()]
-        return feat.reshape(feat.shape[0], -1)
-    raise ContractError(f"unknown tap {tap!r}")
+    index = spec.tap_index(tap)
+    acts, _ = _run_layers(spec, params, batch)
+    return acts[index].reshape(batch.shape[0], -1)
 
 
 def _check_labels(labels, class_count: int) -> np.ndarray:
@@ -469,6 +502,8 @@ def loss_and_grads(
     """Mean cross-entropy and its exact analytic gradients.
 
     Layers with index below ``freeze_below`` get exactly-zero gradients.
+    Backpropagation stops at the lowest layer that needs a gradient, and the
+    gradient w.r.t. that layer's input is not computed.
     """
     batch = _check_batch(spec, batch)
     labels = _check_labels(labels, spec.class_count)
@@ -476,8 +511,8 @@ def loss_and_grads(
         raise ShapeError("batch and labels disagree on length")
     n = batch.shape[0]
 
-    probs, inputs, caches = _run_layers(spec, params, batch)
-    logits = inputs[-1]  # input of the softmax layer
+    acts, caches = _run_layers(spec, params, batch)
+    probs, logits = acts[-1], acts[-2]
     shifted = logits - logits.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
     loss = float(np.mean(logsumexp - logits[np.arange(n), labels]))
@@ -486,29 +521,13 @@ def loss_and_grads(
     grad[np.arange(n), labels] -= 1.0
     grad /= n
 
+    first_parametric = next(i for i, lp in enumerate(params.layers) if lp is not None)
+    stop = max(freeze_below or 0, first_parametric)
     grads: list[LayerParams | None] = [None] * len(spec.layers)
-    frozen = freeze_below if freeze_below is not None else 0
-    for i in range(len(spec.layers) - 1, -1, -1):
-        layer = spec.layers[i]
-        lp = params.layers[i]
-        if isinstance(layer, Softmax):
-            continue  # combined with cross-entropy above; grad is w.r.t. logits
-        if isinstance(layer, Conv):
-            grad, dw, db = _conv_backward(grad, caches[i])
-            grads[i] = LayerParams(dw, db)
-        elif isinstance(layer, Relu):
-            grad = grad * caches[i]
-        elif isinstance(layer, MaxPool):
-            grad = _maxpool_backward(grad, caches[i])
-        elif isinstance(layer, Flatten):
-            grad = grad.reshape(caches[i])
-        elif isinstance(layer, Fc):
-            x = caches[i]
-            grads[i] = LayerParams(grad.T @ x, grad.sum(axis=0))
-            grad = grad @ lp.weight
-    for i in range(min(frozen, len(spec.layers))):
-        if params.layers[i] is not None:
-            lp = params.layers[i]
+    for i in range(len(spec.layers) - 1, stop - 1, -1):
+        grad, grads[i] = spec.layers[i].backward(grad, caches[i], params.layers[i], need_dx=i > stop)
+    for i, lp in enumerate(params.layers[:stop]):
+        if lp is not None:  # frozen
             grads[i] = LayerParams(np.zeros_like(lp.weight), np.zeros_like(lp.bias))
     return loss, NetParams(tuple(grads))
 
@@ -584,12 +603,8 @@ def reinit_head(
     new_layers = list(spec.layers)
     new_layers[head] = Fc(new_class_count)
     new_spec = NetSpec(tuple(new_layers), spec.input_shape, new_class_count)
-    in_dim = params.layers[head].weight.shape[1]
     new_params = list(params.layers)
-    new_params[head] = LayerParams(
-        rng.normal((new_class_count, in_dim), scale=1.0 / np.sqrt(in_dim)),
-        np.zeros(new_class_count),
-    )
+    new_params[head] = _fan_in_init(new_spec.param_shapes()[head], rng)
     return new_spec, NetParams(tuple(new_params))
 
 

@@ -17,19 +17,7 @@ import numpy as np
 from . import cluster as _cluster
 from . import container, convnet, fusion, subset
 from .cluster import ClassClusterMap, KMeansModel, LdaModel
-from .convnet import (
-    Conv,
-    Fc,
-    Flatten,
-    MaxPool,
-    NetParams,
-    NetSpec,
-    Network,
-    Relu,
-    Softmax,
-    Tap,
-    TrainConfig,
-)
+from .convnet import NetParams, NetSpec, Network, Tap, TrainConfig
 from .errors import ContractError, InvariantError, ShapeError
 from .fusion import SvmModel
 from .numkit import Rng, derive_seed
@@ -596,36 +584,15 @@ def evaluate_feature_svm(
 
 
 def _spec_to_json(spec: NetSpec) -> dict:
-    layers = []
-    for layer in spec.layers:
-        if isinstance(layer, Conv):
-            layers.append(["conv", layer.out_channels, layer.kernel, layer.stride])
-        elif isinstance(layer, Relu):
-            layers.append(["relu"])
-        elif isinstance(layer, MaxPool):
-            layers.append(["maxpool", layer.kernel, layer.stride])
-        elif isinstance(layer, Flatten):
-            layers.append(["flatten"])
-        elif isinstance(layer, Fc):
-            layers.append(["fc", layer.out_dim])
-        elif isinstance(layer, Softmax):
-            layers.append(["softmax"])
+    layers = [layer.to_json() for layer in spec.layers]
     return {"input": list(spec.input_shape), "classes": spec.class_count, "layers": layers}
 
 
 def _spec_from_json(obj: dict) -> NetSpec:
-    builders = {
-        "conv": lambda a: Conv(int(a[0]), int(a[1]), int(a[2])),
-        "relu": lambda a: Relu(),
-        "maxpool": lambda a: MaxPool(int(a[0]), int(a[1])),
-        "flatten": lambda a: Flatten(),
-        "fc": lambda a: Fc(int(a[0])),
-        "softmax": lambda a: Softmax(),
-    }
     try:
-        layers = tuple(builders[entry[0]](entry[1:]) for entry in obj["layers"])
+        layers = tuple(convnet.layer_from_json(entry) for entry in obj["layers"])
         return NetSpec(layers, tuple(int(v) for v in obj["input"]), int(obj["classes"]))
-    except (KeyError, IndexError, TypeError, ValueError, ContractError, ShapeError) as exc:
+    except (KeyError, TypeError, ValueError, ContractError, ShapeError) as exc:
         raise InvariantError(f"malformed network description: {exc}") from exc
 
 
@@ -637,18 +604,16 @@ def _params_to_tensors(prefix: str, params: NetParams, out: dict) -> None:
 
 
 def _params_from_tensors(prefix: str, spec: NetSpec, tensors: dict) -> NetParams:
-    layers = []
-    for i, layer in enumerate(spec.layers):
-        if isinstance(layer, (Conv, Fc)):
-            try:
-                layers.append(
-                    convnet.LayerParams(tensors[f"{prefix}/{i}/weight"], tensors[f"{prefix}/{i}/bias"])
-                )
-            except KeyError as exc:
-                raise InvariantError(f"bundle is missing tensor {exc.args[0]!r}") from exc
-        else:
-            layers.append(None)
-    params = NetParams(tuple(layers))
+    try:
+        params = NetParams(
+            tuple(
+                None if shapes is None
+                else convnet.LayerParams(tensors[f"{prefix}/{i}/weight"], tensors[f"{prefix}/{i}/bias"])
+                for i, shapes in enumerate(spec.param_shapes())
+            )
+        )
+    except KeyError as exc:
+        raise InvariantError(f"bundle is missing tensor {exc.args[0]!r}") from exc
     try:
         convnet.check_params(spec, params)
     except (ShapeError, ContractError) as exc:
@@ -682,12 +647,14 @@ def load_dataset(path) -> DatasetHandle:
             raise InvariantError(f"{path}: dataset metadata is not a JSON object")
         if info.get("kind") != "dataset":
             raise InvariantError(f"{path}: not a dataset container")
-        names = tuple(str(n) for n in info["class_names"])
+        names = info["class_names"]
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise InvariantError(f"{path}: class_names must be a JSON list of strings")
         images = tensors["images"]
         labels = np.rint(tensors["labels"]).astype(np.int64)
         split = np.rint(tensors["splits"]).astype(np.uint8)
         return DatasetHandle(
-            images=images, labels=labels, split=split, class_names=names, generator=info.get("generator")
+            images=images, labels=labels, split=split, class_names=tuple(names), generator=info.get("generator")
         )
     except InvariantError:
         raise

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,33 @@ class TestEval:
         result = run_cli("--out-dir", str(ev), "eval", str(bundle_path), str(out / "target.sfl"), cwd=tmp_path)
         assert result.returncode == 3, result.stderr
         assert "not a JSON object" in result.stderr
+        assert not (ev / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "which,key,value",
+        [
+            ("target.sfl", "class_names", "abcdefgh"),  # 8 "classes" would exit 4
+            ("bundle-seed3.sfl", "base_spec", ["relu", 99]),
+        ],
+    )
+    def test_malformed_description_exit_3(self, run_cli, tmp_path, config_file, which, key, value):
+        out = tmp_path / "out"
+        for command in ("train", "gen"):
+            done = run_cli("--out-dir", str(out), command, "--config", str(config_file), cwd=tmp_path)
+            assert done.returncode == 0, done.stderr
+        path = out / which
+        tensors, meta = container.read_container(path)
+        info = json.loads(meta)
+        if key == "base_spec":
+            info[key]["layers"][1] = value
+        else:
+            info[key] = value
+        container.write_container(path, tensors, json.dumps(info))
+        ev = tmp_path / "ev"
+        result = run_cli(
+            "--out-dir", str(ev), "eval", str(out / "bundle-seed3.sfl"), str(out / "target.sfl"), cwd=tmp_path
+        )
+        assert result.returncode == 3, result.stderr
         assert not (ev / "metrics.csv").exists()
 
     def test_missing_bundle_is_other_error(self, run_cli, tmp_path, config_file):

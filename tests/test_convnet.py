@@ -40,6 +40,27 @@ def tiny_spec(class_count=3):
     )
 
 
+def strided_spec(class_count=3):
+    """A stride-2 conv, then an overlapping 3x3/2 max-pool that crops the last
+    row and column of its 6x6 input."""
+    return NetSpec(
+        layers=(
+            Conv(2, 3, 2),
+            Relu(),
+            MaxPool(3, 2),
+            Conv(3, 2, 1),
+            Relu(),
+            Flatten(),
+            Fc(5),
+            Relu(),
+            Fc(class_count),
+            Softmax(),
+        ),
+        input_shape=(2, 13, 13),
+        class_count=class_count,
+    )
+
+
 def params_equal(a: NetParams, b: NetParams) -> bool:
     for la, lb in zip(a.layers, b.layers):
         if (la is None) != (lb is None):
@@ -136,7 +157,7 @@ class TestForward:
         x = np.full((1, 1, 1, 1), 3.0)
         w = np.full((1, 1, 1, 1), 2.0)
         b = np.array([1.0])
-        y, _ = convnet._conv_forward(x, w, b, 1)
+        y, _ = Conv(1, 1).forward(x, LayerParams(w, b))
         assert y[0, 0, 0, 0] == 7.0
 
     def test_conv_tap_applies_affine_through_net(self):
@@ -162,7 +183,7 @@ class TestForward:
     def test_softmax_large_logits(self):
         z = Rng(6).normal((40, 7), scale=25.0)
         z = np.clip(z, -50, 50)
-        p = convnet._softmax(z)
+        p, _ = Softmax().forward(z, None)
         assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_shape_mismatch(self):
@@ -180,10 +201,11 @@ class TestLossAndGrads:
         loss, _ = convnet.loss_and_grads(spec, params, x, np.array([0, 1, 2, 0]))
         assert abs(loss - math.log(3)) < 1e-12
 
-    def test_gradients_match_finite_differences(self):
-        spec = tiny_spec()
+    @pytest.mark.parametrize("make_spec", [tiny_spec, strided_spec], ids=["tiny", "strided"])
+    def test_gradients_match_finite_differences(self, make_spec):
+        spec = make_spec()
         params = convnet.init_params(spec, Rng(7))
-        x = Rng(11).normal((4, 2, 8, 8))
+        x = Rng(11).normal((4,) + spec.input_shape)
         y = np.array([0, 1, 2, 1])
         _, grads = convnet.loss_and_grads(spec, params, x, y)
         h = 1e-5
@@ -216,6 +238,35 @@ class TestLossAndGrads:
                 assert np.all(grads.layers[i].weight == 0.0)
                 assert np.all(grads.layers[i].bias == 0.0)
         assert np.any(grads.layers[6].weight != 0.0)
+
+    @pytest.mark.parametrize("freeze_below", range(len(strided_spec().layers) + 2))
+    def test_frozen_gradients_match_unfrozen_ones(self, freeze_below):
+        spec = strided_spec()
+        params = convnet.init_params(spec, Rng(7))
+        x = Rng(8).normal((5,) + spec.input_shape)
+        y = np.array([0, 1, 2, 1, 0])
+        loss, full = convnet.loss_and_grads(spec, params, x, y)
+        frozen_loss, frozen = convnet.loss_and_grads(spec, params, x, y, freeze_below=freeze_below)
+        assert frozen_loss == loss
+        for i, (g, f) in enumerate(zip(full.layers, frozen.layers)):
+            if g is None:
+                assert f is None
+            elif i < freeze_below:
+                assert np.all(f.weight == 0.0) and np.all(f.bias == 0.0)
+            else:
+                assert np.array_equal(f.weight, g.weight) and np.array_equal(f.bias, g.bias)
+
+    @pytest.mark.parametrize("freeze_below,col2im_calls", [(None, 1), (1, 1), (3, 0), (4, 0)])
+    def test_no_input_gradient_below_the_lowest_trained_layer(self, monkeypatch, freeze_below, col2im_calls):
+        # tiny_spec has convs at 0 and 3: the lowest trained layer needs no
+        # input gradient, and nothing below it is back-propagated
+        calls = []
+        col2im = convnet._col2im
+        monkeypatch.setattr(convnet, "_col2im", lambda *a: calls.append(1) or col2im(*a))
+        spec = tiny_spec()
+        params = convnet.init_params(spec, Rng(7))
+        convnet.loss_and_grads(spec, params, Rng(8).normal((3, 2, 8, 8)), np.array([0, 1, 2]), freeze_below)
+        assert len(calls) == col2im_calls
 
     def test_out_of_range_label(self):
         spec = tiny_spec(class_count=3)

@@ -1,11 +1,12 @@
 import collections
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from subsetlearn import cluster, convnet, fusion, pipeline, subset
-from subsetlearn.convnet import Tap, TrainConfig
+from subsetlearn.convnet import Conv, Fc, Flatten, MaxPool, NetSpec, Relu, Softmax, Tap, TrainConfig
 from subsetlearn.errors import ContractError, InvariantError, ShapeError
 from subsetlearn.numkit import Rng
 from subsetlearn.pipeline import (
@@ -640,6 +641,57 @@ class TestPersistence:
         pipeline.container.write_container(path, tensors, meta)
         with pytest.raises(InvariantError, match="not a JSON object"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("names", ['"abcdefgh"', "[0, 1, 2, 3]", "null", '{"a": 1}'])
+    def test_dataset_class_names_must_be_a_list_of_strings(self, tmp_path, names):
+        path = tmp_path / "ds.sfl"
+        save_dataset(path, generate_synthetic(**TINY))
+        tensors, meta = pipeline.container.read_container(path)
+        info = json.loads(meta)
+        info["class_names"] = json.loads(names)
+        pipeline.container.write_container(path, tensors, json.dumps(info))
+        with pytest.raises(InvariantError, match="class_names"):
+            load_dataset(path)
+
+    def test_layer_json_round_trip(self):
+        spec = NetSpec(
+            layers=(
+                Conv(5, 3, 2), Relu(), MaxPool(3, 1), Conv(4, 2, 1), Flatten(),
+                Fc(7), Relu(), Fc(3), Softmax(),
+            ),
+            input_shape=(2, 15, 13),
+            class_count=3,
+        )
+        obj = json.loads(json.dumps(pipeline._spec_to_json(spec)))
+        assert obj == {
+            "input": [2, 15, 13],
+            "classes": 3,
+            "layers": [
+                ["conv", 5, 3, 2], ["relu"], ["maxpool", 3, 1], ["conv", 4, 2, 1], ["flatten"],
+                ["fc", 7], ["relu"], ["fc", 3], ["softmax"],
+            ],
+        }
+        assert pipeline._spec_from_json(obj) == spec
+
+    @pytest.mark.parametrize(
+        "index,entry",
+        [
+            (1, ["relu", 99]),
+            (0, ["conv", 8.9, 3, 1]),
+            (0, ["conv", 8, 3]),
+            (0, ["conv", "8", 3, 1]),
+            (7, ["fc", True]),
+            (7, ["fc"]),
+            (2, ["pool", 2, 2]),
+            (2, []),
+            (2, "maxpool"),
+        ],
+    )
+    def test_malformed_layer_json_rejected(self, index, entry):
+        obj = pipeline._spec_to_json(convnet.default_spec())
+        obj["layers"][index] = entry
+        with pytest.raises(InvariantError, match="malformed network description"):
+            pipeline._spec_from_json(obj)
 
 
 class TestFeatureSvmProtocol:
