@@ -6,8 +6,8 @@ mismatches raise immediately; nothing broadcasts silently.
 
 Three named feature taps are exposed:
 
-* ``Tap.CONV_LAST``       activations entering the flatten layer, flattened
-                          (the last spatially-structured feature map),
+* ``Tap.CONV_LAST``       the flatten layer's output: the last
+                          spatially-structured feature map in (C, H, W) order,
 * ``Tap.FC_PENULTIMATE``  activations entering the final fully connected
                           layer (the classification feature),
 * ``Tap.HEAD``            softmax class probabilities.
@@ -52,31 +52,43 @@ def _window_shape(layer, in_shape: tuple[int, ...], channels: int) -> tuple[int,
     return out
 
 
-def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """(B, C, Ho, Wo, k, k) view of the k x k windows of x at the given stride."""
-    return np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+def _shifted(x: np.ndarray, i: int, j: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """(B, Ho, Wo, C) view of channels-last x: element (b, r, q, c) is the
+    (i, j) entry of the window whose top-left corner is (r * stride, q * stride)."""
+    return x[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
 
 
-def _im2col(x: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, int, int]:
-    win = _windows(x, k, stride)
-    b, c, ho, wo = win.shape[:4]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(b, ho * wo, c * k * k)
-    return cols, ho, wo
+def _im2col(x: np.ndarray, cols: np.ndarray, k: int, stride: int) -> None:
+    """Copy the k x k windows of x (B, H, W, C) into cols (B, Ho, Wo, k, k, C)."""
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    np.copyto(cols, win.transpose(0, 1, 2, 4, 5, 3))
 
 
-def _col2im(dcols: np.ndarray, x_shape, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    b, c, h, w = x_shape
-    dwin = dcols.reshape(b, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+def _col2im(dcols: np.ndarray, x_shape: tuple[int, ...], k: int, stride: int) -> np.ndarray:
+    """Adjoint of ``_im2col``: dcols (B, Ho, Wo, k, k, C) summed into a new
+    array of x_shape (B, H, W, C).
+
+    One add per window row and output column, so both sides of each add run
+    over k * C contiguous numbers."""
+    ho, wo = dcols.shape[1:3]
     dx = np.zeros(x_shape)
     for i in range(k):
-        for j in range(k):
-            dx[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dwin[:, :, :, :, i, j]
+        rows = dx[:, i : i + stride * ho : stride]
+        for col in range(wo):
+            rows[:, :, col * stride : col * stride + k] += dcols[:, :, col, i]
     return dx
+
+
+def _kernel_matrix(weight: np.ndarray) -> np.ndarray:
+    """Conv weights (O, C, k, k) as the (O, k*k*C) matrix that multiplies im2col rows."""
+    return weight.transpose(0, 2, 3, 1).reshape(weight.shape[0], -1)
 
 
 class Layer:
     """One layer type.  Its JSON form is its tag followed by its dataclass
-    fields, all integers.  Shapes exclude the batch axis.
+    fields, all integers.  Shapes exclude the batch axis and are given as
+    (C, H, W) up to flatten, but the kernels hold those activations
+    channels-last, (B, H, W, C); flatten emits (C, H, W) order.
 
     ``forward(x, lp)`` returns the output and the cache that ``backward``
     needs; ``backward(dy, cache, lp, need_dx)`` returns the gradient w.r.t.
@@ -98,7 +110,8 @@ class Layer:
 
 @dataclass(frozen=True)
 class Conv(Layer):
-    """Valid (unpadded) convolution."""
+    """Valid (unpadded) convolution, as one matmul over the im2col rows
+    (Chellapilla, Puri & Simard, IWFHR 2006)."""
 
     out_channels: int
     kernel: int
@@ -112,22 +125,30 @@ class Conv(Layer):
         return (self.out_channels, in_shape[0], self.kernel, self.kernel), (self.out_channels,)
 
     def forward(self, x, lp):
-        o, c, k, _ = lp.weight.shape
-        cols, ho, wo = _im2col(x, k, self.stride)
-        y = cols @ lp.weight.reshape(o, c * k * k).T + lp.bias
-        y = y.reshape(x.shape[0], ho, wo, o).transpose(0, 3, 1, 2)
-        return np.ascontiguousarray(y), (cols, x.shape, ho, wo)
+        b, h, w, c = x.shape
+        o, k, s = self.out_channels, self.kernel, self.stride
+        ho, wo = (h - k) // s + 1, (w - k) // s + 1
+        # The bias is the weight of a last, constant-one im2col column, so one
+        # matmul gives y, and in backward one gives dw and the bias gradient
+        # (ones @ dy) together.
+        cols = np.empty((b * ho * wo, k * k * c + 1))
+        _im2col(x, cols[:, :-1].reshape(b, ho, wo, k, k, c), k, s)
+        cols[:, -1] = 1.0
+        weights = np.hstack([_kernel_matrix(lp.weight), lp.bias[:, None]])
+        y = (cols @ weights.T).reshape(b, ho, wo, o)
+        return y, (cols, x.shape)
 
     def backward(self, dy, cache, lp, need_dx):
-        cols, x_shape, ho, wo = cache
+        cols, x_shape = cache
         o, c, k, _ = lp.weight.shape
-        dym = dy.transpose(0, 2, 3, 1).reshape(x_shape[0], ho * wo, o)
-        dw = np.tensordot(dym, cols, axes=([0, 1], [0, 1])).reshape(lp.weight.shape)
-        grads = LayerParams(dw, dy.sum(axis=(0, 2, 3)))
+        dym = dy.reshape(-1, o)
+        dwb = dym.T @ cols
+        dw = dwb[:, :-1].reshape(o, k, k, c).transpose(0, 3, 1, 2)
+        grads = LayerParams(np.ascontiguousarray(dw), dwb[:, -1].copy())
         if not need_dx:
             return None, grads
-        dcols = dym @ lp.weight.reshape(o, c * k * k)
-        return _col2im(dcols, x_shape, k, self.stride, ho, wo), grads
+        dcols = dym @ _kernel_matrix(lp.weight)
+        return _col2im(dcols.reshape(dy.shape[:3] + (k, k, c)), x_shape, k, self.stride), grads
 
 
 @dataclass(frozen=True)
@@ -135,10 +156,12 @@ class Relu(Layer):
     tag = "relu"
 
     def forward(self, x, lp):
-        return np.maximum(x, 0.0), x > 0
+        y = np.maximum(x, 0.0)
+        return y, y
 
-    def backward(self, dy, mask, lp, need_dx):
-        return (dy * mask if need_dx else None), None
+    def backward(self, dy, y, lp, need_dx):
+        # y > 0 exactly where the input was > 0, so forward keeps no mask
+        return (dy * (y > 0.0) if need_dx else None), None
 
 
 @dataclass(frozen=True)
@@ -150,40 +173,55 @@ class MaxPool(Layer):
     def out_shape(self, in_shape):
         return _window_shape(self, in_shape, in_shape[0])
 
+    def _offsets(self):
+        return [(i, j) for i in range(self.kernel) for j in range(self.kernel)]
+
     def forward(self, x, lp):
-        win = _windows(x, self.kernel, self.stride)
-        flat = win.reshape(win.shape[:4] + (-1,))
-        idx = flat.argmax(axis=-1)
-        y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        return np.ascontiguousarray(y), (idx, x.shape)
+        b, h, w, c = x.shape
+        k, s = self.kernel, self.stride
+        ho, wo = (h - k) // s + 1, (w - k) // s + 1
+        y = _shifted(x, 0, 0, s, ho, wo).copy()
+        for i, j in self._offsets()[1:]:
+            np.maximum(y, _shifted(x, i, j, s, ho, wo), out=y)
+        return y, (x, y)
 
     def backward(self, dy, cache, lp, need_dx):
+        """Each output's gradient goes to the first input of its window, in
+        row-major order, that equals the max: argmax's choice for finite
+        inputs.  Overlapping windows add up."""
         if not need_dx:
             return None, None
-        idx, x_shape = cache
-        b, c, ho, wo = idx.shape
-        di, dj = np.divmod(idx, self.kernel)
-        rows = self.stride * np.arange(ho)[None, None, :, None] + di
-        cols = self.stride * np.arange(wo)[None, None, None, :] + dj
-        bi = np.arange(b)[:, None, None, None]
-        ci = np.arange(c)[None, :, None, None]
-        dx = np.zeros(x_shape)
-        np.add.at(dx, (bi, ci, rows, cols), dy)
+        x, y = cache
+        ho, wo = y.shape[1:3]
+        dx = np.zeros(x.shape)
+        pending = np.ones(y.shape, np.bool_)  # outputs whose gradient is not yet placed
+        for i, j in self._offsets():
+            hit = (_shifted(x, i, j, self.stride, ho, wo) == y) & pending
+            pending &= ~hit
+            dxs = _shifted(dx, i, j, self.stride, ho, wo)
+            dxs += dy * hit
         return dx, None
 
 
 @dataclass(frozen=True)
 class Flatten(Layer):
+    """(B, H, W, C) in, (B, C*H*W) out in (C, H, W) order: the order of the
+    fc weights and of the conv tap."""
+
     tag = "flatten"
 
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
 
     def forward(self, x, lp):
-        return x.reshape(x.shape[0], -1), x.shape
+        b, h, w, c = x.shape
+        return x.transpose(0, 3, 1, 2).reshape(b, c * h * w), x.shape
 
     def backward(self, dy, x_shape, lp, need_dx):
-        return (dy.reshape(x_shape) if need_dx else None), None
+        if not need_dx:
+            return None, None
+        b, h, w, c = x_shape
+        return np.ascontiguousarray(dy.reshape(b, c, h, w).transpose(0, 2, 3, 1)), None
 
 
 @dataclass(frozen=True)
@@ -312,10 +350,10 @@ class NetSpec:
         return [layer.param_shapes(s) for layer, s in zip(self.layers, in_shapes)]
 
     def tap_index(self, tap: Tap) -> int:
-        """Where a tap reads in [input] + each layer's output: the input of the
-        flatten layer, the input of the head, or the softmax output."""
+        """Where a tap reads in [input] + each layer's output: the output of
+        the flatten layer, the input of the head, or the softmax output."""
         index = {
-            Tap.CONV_LAST: self.flatten_index(),
+            Tap.CONV_LAST: self.flatten_index() + 1,
             Tap.FC_PENULTIMATE: self.head_index(),
             Tap.HEAD: len(self.layers),
         }.get(tap)
@@ -455,16 +493,6 @@ def init_params(spec: NetSpec, rng: Rng) -> NetParams:
     )
 
 
-def _run_layers(spec: NetSpec, params: NetParams, x: np.ndarray):
-    """Forward pass: [input] + each layer's output, and each layer's backward cache."""
-    acts, caches = [x], []
-    for layer, lp in zip(spec.layers, params.layers):
-        x, cache = layer.forward(x, lp)
-        acts.append(x)
-        caches.append(cache)
-    return acts, caches
-
-
 def _check_batch(spec: NetSpec, batch: np.ndarray) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 4 or batch.shape[1:] != spec.input_shape:
@@ -475,11 +503,16 @@ def _check_batch(spec: NetSpec, batch: np.ndarray) -> np.ndarray:
 
 
 def forward(spec: NetSpec, params: NetParams, batch: np.ndarray, tap: Tap = Tap.HEAD) -> np.ndarray:
-    """Activations at the requested tap for a batch.  Pure and reentrant."""
+    """Activations at the requested tap for a batch.  Pure and reentrant.
+
+    Runs the layers up to the tap only, and keeps no activation or backward
+    cache beyond the layer that needs it."""
     batch = _check_batch(spec, batch)
     index = spec.tap_index(tap)
-    acts, _ = _run_layers(spec, params, batch)
-    return acts[index].reshape(batch.shape[0], -1)
+    x = np.ascontiguousarray(batch.transpose(0, 2, 3, 1))
+    for layer, lp in zip(spec.layers[:index], params.layers[:index]):
+        x = layer.forward(x, lp)[0]
+    return x
 
 
 def _check_labels(labels, class_count: int) -> np.ndarray:
@@ -511,8 +544,13 @@ def loss_and_grads(
         raise ShapeError("batch and labels disagree on length")
     n = batch.shape[0]
 
-    acts, caches = _run_layers(spec, params, batch)
-    probs, logits = acts[-1], acts[-2]
+    x = np.ascontiguousarray(batch.transpose(0, 2, 3, 1))
+    caches = []
+    for layer, lp in zip(spec.layers, params.layers):
+        logits = x
+        x, cache = layer.forward(x, lp)
+        caches.append(cache)
+    probs = x
     shifted = logits - logits.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
     loss = float(np.mean(logsumexp - logits[np.arange(n), labels]))
@@ -525,7 +563,7 @@ def loss_and_grads(
     stop = max(freeze_below or 0, first_parametric)
     grads: list[LayerParams | None] = [None] * len(spec.layers)
     for i in range(len(spec.layers) - 1, stop - 1, -1):
-        grad, grads[i] = spec.layers[i].backward(grad, caches[i], params.layers[i], need_dx=i > stop)
+        grad, grads[i] = spec.layers[i].backward(grad, caches[i], params.layers[i], i > stop)
     for i, lp in enumerate(params.layers[:stop]):
         if lp is not None:  # frozen
             grads[i] = LayerParams(np.zeros_like(lp.weight), np.zeros_like(lp.bias))

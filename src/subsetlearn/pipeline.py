@@ -301,6 +301,7 @@ def run_stage_graph(
     for i, stage in enumerate(graph.stages):
         ds = datasets[stage.dataset]
         rows = ds.rows("train")
+        images = labels = None  # let the last stage's train copy go before this one is made
         images, labels = ds.images[rows], ds.labels[rows]
         epochs = stage.epochs if stage.epochs is not None else base_cfg.epochs
         knobs = (i, stage.mode, epochs, stage.learning_rate, stage.freeze_below, ds.n_classes)
@@ -369,8 +370,16 @@ def metrics_from_predictions(y_true, y_pred, n_classes: int) -> Metrics:
     )
 
 
-def extract_features(net: Network, images: np.ndarray, tap: Tap, batch: int = 256) -> np.ndarray:
-    chunks = [net.forward(images[i : i + batch], tap) for i in range(0, images.shape[0], batch)]
+# Images per inference forward.  At 64 a 16 x 16 input's first-conv im2col
+# rows take 2.8 MiB (11 MiB at 256), and a forward is no slower per image.
+FORWARD_CHUNK = 64
+
+
+def extract_features(net: Network, images: np.ndarray, tap: Tap) -> np.ndarray:
+    """Tap features of images, forwarded FORWARD_CHUNK at a time."""
+    chunks = [
+        net.forward(images[i : i + FORWARD_CHUNK], tap) for i in range(0, images.shape[0], FORWARD_CHUNK)
+    ]
     return np.concatenate(chunks, axis=0)
 
 
@@ -448,19 +457,18 @@ def fuse_dataset_features(
     bundle_base: Network,
     ensemble: SubsetEnsemble,
     images: np.ndarray,
-    batch: int = 256,
 ) -> np.ndarray:
     """Base feature + the ensemble selector's choice + the chosen subset
     net's feature, fused per image.
 
-    Per chunk of ``batch`` images the selector routes first, then each subset
+    Per chunk of FORWARD_CHUNK images the selector routes first, then each subset
     net runs only on the images routed to it: every image passes through the
     base net, the selector (a network selector's own net; the centroid
     selector reuses the base feature) and exactly one subset net.
     """
     parts = []
-    for i in range(0, images.shape[0], batch):
-        chunk = images[i : i + batch]
+    for i in range(0, images.shape[0], FORWARD_CHUNK):
+        chunk = images[i : i + FORWARD_CHUNK]
         base_feats = bundle_base.forward(chunk, Tap.FC_PENULTIMATE)
         chosen = subset.select_batch(ensemble.selector, chunk, base_feats)
         subset_feats = subset.extract_subset_features(ensemble, chunk, chosen)
@@ -591,7 +599,12 @@ def _spec_to_json(spec: NetSpec) -> dict:
 def _spec_from_json(obj: dict) -> NetSpec:
     try:
         layers = tuple(convnet.layer_from_json(entry) for entry in obj["layers"])
-        return NetSpec(layers, tuple(int(v) for v in obj["input"]), int(obj["classes"]))
+        shape, classes = obj["input"], obj["classes"]
+        if not (isinstance(shape, list) and len(shape) == 3 and all(type(v) is int for v in shape)):
+            raise ContractError(f"input must be a list of 3 integers, got {shape!r}")
+        if type(classes) is not int:
+            raise ContractError(f"classes must be an integer, got {classes!r}")
+        return NetSpec(layers, tuple(shape), classes)
     except (KeyError, TypeError, ValueError, ContractError, ShapeError) as exc:
         raise InvariantError(f"malformed network description: {exc}") from exc
 

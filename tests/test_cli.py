@@ -250,6 +250,8 @@ class TestEval:
         [
             ("target.sfl", "class_names", "abcdefgh"),  # 8 "classes" would exit 4
             ("bundle-seed3.sfl", "base_spec", ["relu", 99]),
+            ("bundle-seed3.sfl", "base_spec.input", [3, 16.7, 16]),
+            ("bundle-seed3.sfl", "base_spec.classes", True),
         ],
     )
     def test_malformed_description_exit_3(self, run_cli, tmp_path, config_file, which, key, value):
@@ -262,6 +264,8 @@ class TestEval:
         info = json.loads(meta)
         if key == "base_spec":
             info[key]["layers"][1] = value
+        elif key.startswith("base_spec."):
+            info["base_spec"][key.split(".")[1]] = value
         else:
             info[key] = value
         container.write_container(path, tensors, json.dumps(info))

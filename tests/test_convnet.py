@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -192,6 +193,18 @@ class TestForward:
         with pytest.raises(ShapeError):
             convnet.forward(spec, params, np.zeros((2, 2, 9, 8)))
 
+    def test_forward_runs_only_up_to_the_tap(self):
+        # a head the forward never reaches cannot break it
+        spec = tiny_spec()
+        layers = list(convnet.init_params(spec, Rng(1)).layers)
+        layers[spec.head_index()] = LayerParams(np.zeros((2, 2)), np.zeros(2))
+        params = NetParams(tuple(layers))
+        x = Rng(2).normal((3, 2, 8, 8))
+        assert convnet.forward(spec, params, x, Tap.FC_PENULTIMATE).shape == (3, 5)
+        assert convnet.forward(spec, params, x, Tap.CONV_LAST).shape == (3, spec.tap_dim(Tap.CONV_LAST))
+        with pytest.raises(ValueError):
+            convnet.forward(spec, params, x, Tap.HEAD)
+
 
 class TestLossAndGrads:
     def test_uniform_predictions_loss_is_log_c(self):
@@ -275,7 +288,122 @@ class TestLossAndGrads:
             convnet.loss_and_grads(spec, params, np.zeros((1, 2, 8, 8)), np.array([3]))
 
 
+def nhwc(a):
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
+def nchw(a):
+    return a.transpose(0, 3, 1, 2)
+
+
+def conv_oracle(x, w, b, stride, dy):
+    """Explicit-loop conv on (B, C, H, W): output, and dx, dw, db for dy."""
+    n, c, h, wd = x.shape
+    o, _, k, _ = w.shape
+    ho, wo = (h - k) // stride + 1, (wd - k) // stride + 1
+    y = np.zeros((n, o, ho, wo))
+    dx, dw, db = np.zeros_like(x), np.zeros_like(w), np.zeros_like(b)
+    for bi in range(n):
+        for oi in range(o):
+            for r in range(ho):
+                for q in range(wo):
+                    patch = x[bi, :, r * stride : r * stride + k, q * stride : q * stride + k]
+                    y[bi, oi, r, q] = np.sum(patch * w[oi]) + b[oi]
+                    g = dy[bi, oi, r, q]
+                    dw[oi] += g * patch
+                    db[oi] += g
+                    dx[bi, :, r * stride : r * stride + k, q * stride : q * stride + k] += g * w[oi]
+    return y, dx, dw, db
+
+
+def maxpool_oracle(x, k, stride, dy):
+    """Explicit-loop max-pool on (B, C, H, W): output, and dx for dy, each
+    gradient going to the window's argmax (its first max in row-major order)."""
+    n, c, h, w = x.shape
+    ho, wo = (h - k) // stride + 1, (w - k) // stride + 1
+    y = np.zeros((n, c, ho, wo))
+    dx = np.zeros_like(x)
+    for bi in range(n):
+        for ci in range(c):
+            for r in range(ho):
+                for q in range(wo):
+                    window = x[bi, ci, r * stride : r * stride + k, q * stride : q * stride + k]
+                    i, j = divmod(int(np.argmax(window)), k)
+                    y[bi, ci, r, q] = window[i, j]
+                    dx[bi, ci, r * stride + i, q * stride + j] += dy[bi, ci, r, q]
+    return y, dx
+
+
+class TestKernels:
+    @pytest.mark.parametrize("k,stride,h,w", [(3, 2, 11, 9), (2, 2, 9, 7), (3, 1, 7, 6)])
+    def test_conv_matches_loop_oracle(self, k, stride, h, w):
+        rng = np.random.default_rng(k * 100 + h)
+        x = rng.normal(size=(3, 4, h, w))
+        lp = LayerParams(rng.normal(size=(5, 4, k, k)), rng.normal(size=5))
+        layer = Conv(5, k, stride)
+        y, cache = layer.forward(nhwc(x), lp)
+        dy = rng.normal(size=nchw(y).shape)
+        ref_y, ref_dx, ref_dw, ref_db = conv_oracle(x, lp.weight, lp.bias, stride, dy)
+        dx, grads = layer.backward(nhwc(dy), cache, lp, True)
+        np.testing.assert_allclose(nchw(y), ref_y, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(nchw(dx), ref_dx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads.weight, ref_dw, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads.bias, ref_db, rtol=1e-12, atol=1e-12)
+        assert layer.backward(nhwc(dy), cache, lp, False)[0] is None
+
+    @pytest.mark.parametrize("k,stride,size", [(3, 2, 8), (2, 2, 7)], ids=["overlapping-3-2", "cropped-2-2"])
+    def test_maxpool_ties_go_to_the_first_max(self, k, stride, size):
+        layer = MaxPool(k, stride)
+        # an all-equal first window, and a pair equal to the max that only the
+        # second window holds: row-major order picks (0, last), column-major
+        # order would pick (1, last - 1)
+        last = stride + k - 1
+        x = np.zeros((1, 1, size, size))
+        x[0, 0, 0, last] = x[0, 0, 1, last - 1] = 5.0
+        y, cache = layer.forward(nhwc(x), None)
+        dy = np.zeros(nchw(y).shape)
+        dy[0, 0, 0, :2] = (2.0, 3.0)
+        dx = nchw(layer.backward(nhwc(dy), cache, None, True)[0])
+        expected = np.zeros_like(x)
+        expected[0, 0, 0, 0] = 2.0
+        expected[0, 0, 0, last] = 3.0
+        assert np.array_equal(dx, expected)
+
+    @pytest.mark.parametrize("k,stride,size", [(3, 2, 10), (2, 2, 9), (2, 1, 6)])
+    def test_maxpool_matches_argmax_oracle_with_many_ties(self, k, stride, size):
+        rng = np.random.default_rng(size)
+        x = rng.integers(0, 3, size=(2, 3, size, size + 1)).astype(float)
+        layer = MaxPool(k, stride)
+        y, cache = layer.forward(nhwc(x), None)
+        dy = rng.integers(-4, 5, size=nchw(y).shape).astype(float)  # exact sums in any order
+        ref_y, ref_dx = maxpool_oracle(x, k, stride, dy)
+        assert np.array_equal(nchw(y), ref_y)
+        assert np.array_equal(nchw(layer.backward(nhwc(dy), cache, None, True)[0]), ref_dx)
+
+
 class TestTrain:
+    def test_concurrent_trains_are_bit_identical(self):
+        spec = convnet.default_spec((3, 16, 16), 4)
+        params = convnet.init_params(spec, Rng(1))
+        images = Rng(2).normal((40, 3, 16, 16))  # a last step of 8
+        labels = np.arange(40) % 4
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=5)
+        alone = convnet.train(spec, params, images, labels, cfg)
+        results = [None, None]
+
+        def run(slot):
+            results[slot] = convnet.train(spec, params, images, labels, cfg)
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        for out, history in results:
+            assert params_equal(out, alone[0])
+            assert history == alone[1]
+
     def test_zero_learning_rate_is_identity(self):
         spec = tiny_spec()
         params = convnet.init_params(spec, Rng(1))

@@ -512,15 +512,16 @@ class TestRoutedInference:
             assert seen[f"subset{j}"] == int((chosen == j).sum())
 
     def test_empty_and_single_image_subsets(self, monkeypatch, tiny_bundle):
-        # two chunks of the 256-image batch: in the first subset 1 gets one
+        # a full chunk and a partial one: in the first subset 1 gets one
         # image, in the second it gets none
         ds, bundle = tiny_bundle
-        te = np.resize(ds.rows("test"), 260)  # the test split repeated
+        full = pipeline.FORWARD_CHUNK
+        te = np.resize(ds.rows("test"), full + 4)  # the test split repeated
         data = pipeline.DatasetHandle(
-            images=ds.images[te], labels=ds.labels[te], split=np.full(260, pipeline.TEST, np.uint8),
+            images=ds.images[te], labels=ds.labels[te], split=np.full(te.size, pipeline.TEST, np.uint8),
             class_names=ds.class_names,
         )
-        designed = {256: np.where(np.arange(256) == 5, 1, 0), 4: np.zeros(4, dtype=np.int64)}
+        designed = {full: np.where(np.arange(full) == 5, 1, 0), 4: np.zeros(4, dtype=np.int64)}
         select_batch = subset.select_batch
 
         def routed(selector, images, base_feats):
@@ -529,14 +530,14 @@ class TestRoutedInference:
 
         monkeypatch.setattr(subset, "select_batch", routed)
         fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, data.images)
-        ref = all_k_reference(bundle, data.images, np.concatenate([designed[256], designed[4]]))
+        ref = all_k_reference(bundle, data.images, np.concatenate([designed[full], designed[4]]))
         assert np.abs(fused - ref).max() <= 1e-12
         assert np.array_equal(fusion.svm_predict_batch(bundle.svm, fused)[0],
                               fusion.svm_predict_batch(bundle.svm, ref)[0])
         calls = count_forward_images(monkeypatch, bundle)
         evaluate(bundle, data, "test")
         assert calls == [
-            ("base", 256), ("selector", 256), ("subset0", 255), ("subset1", 1),
+            ("base", full), ("selector", full), ("subset0", full - 1), ("subset1", 1),
             ("base", 4), ("selector", 4), ("subset0", 4),
         ]
 
@@ -690,6 +691,24 @@ class TestPersistence:
     def test_malformed_layer_json_rejected(self, index, entry):
         obj = pipeline._spec_to_json(convnet.default_spec())
         obj["layers"][index] = entry
+        with pytest.raises(InvariantError, match="malformed network description"):
+            pipeline._spec_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("input", [3, 16.7, 16]),
+            ("input", ["3", "16", "16"]),
+            ("input", [3, 16]),
+            ("input", "3x16x16"),
+            ("classes", 12.9),
+            ("classes", True),
+            ("classes", "12"),
+        ],
+    )
+    def test_malformed_input_or_classes_rejected(self, key, value):
+        obj = pipeline._spec_to_json(convnet.default_spec())
+        obj[key] = value
         with pytest.raises(InvariantError, match="malformed network description"):
             pipeline._spec_from_json(obj)
 
