@@ -16,7 +16,6 @@ from . import cluster, container, pipeline
 from .config import RunConfig, parse_config
 from .convnet import Tap
 from .errors import ConfigError, ContainerError, ShapeError
-from .numkit import Rng, derive_seed
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -102,15 +101,7 @@ def cmd_cluster_report(cfg: RunConfig, out_dir: Path) -> int:
         (Tap.FC_PENULTIMATE.value, fc_feats, None),
         ("lda_" + Tap.FC_PENULTIMATE.value, fc_feats, lda),
     ):
-        _, _, report = cluster.precluster_classes(
-            feats,
-            labels,
-            tap_name,
-            lda_model,
-            system.k,
-            Rng(derive_seed(seed, 101)),
-            restarts=system.kmeans_restarts,
-        )
+        _, _, report = pipeline.precluster(system, feats, labels, tap_name, lda_model)
         reports.append(report)
     lines = ["tap,silhouette,min_size,max_size"] + [r.csv_row() for r in reports]
     report_path = out_dir / "cluster_report.csv"

@@ -14,6 +14,9 @@ from .convnet import Tap
 from .errors import ContractError, ConvergenceError, ShapeError
 from .numkit import Rng
 
+# Lloyd iterations per k-means restart; a run stops early once assignments repeat.
+KMEANS_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class LdaModel:
@@ -243,7 +246,6 @@ def kmeans_fit(
     points: np.ndarray,
     k: int,
     restarts: int = 10,
-    max_iter: int = 100,
     rng: Rng | None = None,
 ) -> KMeansModel:
     """Lloyd's algorithm with k-means++ seeding and restarts.
@@ -260,13 +262,13 @@ def kmeans_fit(
         raise ContractError("k must be >= 1")
     if n < k:
         raise ContractError(f"need at least k={k} points, got {n}")
-    if restarts < 1 or max_iter < 1:
-        raise ContractError("restarts and max_iter must be >= 1")
+    if restarts < 1:
+        raise ContractError("restarts must be >= 1")
     best = None
     for r in range(restarts):
         child = rng.child(r)
         init = _kmeans_pp_init(points, k, child)
-        centroids, labels, trace = _lloyd(points, init, max_iter)
+        centroids, labels, trace = _lloyd(points, init, KMEANS_MAX_ITER)
         # hard runtime invariant: Lloyd cost never increases within a run
         if np.any(np.diff(trace) > 1e-9 * max(1.0, trace[0])):
             raise ConvergenceError("k-means inertia increased within a run")
@@ -301,7 +303,6 @@ def precluster_classes(
     k: int,
     rng: Rng,
     restarts: int = 10,
-    max_iter: int = 100,
 ) -> tuple[ClassClusterMap, KMeansModel, TapReport]:
     """Cluster classes into k subsets by k-means over per-class mean features.
 
@@ -321,7 +322,7 @@ def precluster_classes(
         raise ContractError("labels must be dense class indices 0..C-1")
     if k > c:
         raise ContractError(f"k={k} exceeds the class count {c}")
-    model = kmeans_fit(means, k, restarts=restarts, max_iter=max_iter, rng=rng)
+    model = kmeans_fit(means, k, restarts=restarts, rng=rng)
     assignment = kmeans_assign(model, means)
     # kmeans repair makes empty subsets all but impossible; enforce the map
     # invariant anyway by donating the farthest class mean to any empty subset

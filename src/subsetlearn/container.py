@@ -55,8 +55,6 @@ def write_container(path, tensors: dict[str, np.ndarray], metadata: str = "") ->
         name_b = name.encode("utf-8")
         if len(name_b) > 0xFFFF:
             raise ContractError(f"tensor name too long: {name!r}")
-        if arr.ndim > 0xFF:
-            raise ContractError(f"tensor rank too large: {name!r}")
         blob += struct.pack("<H", len(name_b))
         blob += name_b
         blob += struct.pack("<B", arr.ndim)
@@ -112,7 +110,10 @@ def read_container(path) -> tuple[dict[str, np.ndarray], str]:
         (name_len,) = take("<H")
         if cursor + name_len > body_end:
             raise InvariantError(f"{path}: malformed tensor name")
-        name = data[cursor : cursor + name_len].decode("utf-8")
+        try:
+            name = data[cursor : cursor + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvariantError(f"{path}: tensor name is not valid UTF-8") from exc
         cursor += name_len
         (rank,) = take("<B")
         shape = tuple(take("<Q")[0] for _ in range(rank))
@@ -122,7 +123,10 @@ def read_container(path) -> tuple[dict[str, np.ndarray], str]:
         size = 8 * n_values
         if cursor + size > body_end:
             raise InvariantError(f"{path}: tensor payload overruns the file")
-        arr = np.frombuffer(data, dtype="<f8", count=n_values, offset=cursor).reshape(shape).copy()
+        try:  # reshape rejects over 64 axes, and an empty shape with extents past intp
+            arr = np.frombuffer(data, dtype="<f8", count=n_values, offset=cursor).reshape(shape).copy()
+        except ValueError as exc:
+            raise InvariantError(f"{path}: tensor {name!r} cannot have shape {shape}") from exc
         cursor += size
         if not np.all(np.isfinite(arr)):
             raise InvariantError(f"{path}: tensor {name!r} contains non-finite values")

@@ -23,7 +23,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .numkit import Rng, derive_seed
+from .numkit import Rng
 
 
 # Fine-tuned stages and nets train at this multiple of the scratch learning rate.
@@ -391,8 +391,8 @@ def default_spec(input_shape: tuple[int, int, int] = (3, 16, 16), class_count: i
 class NetParams:
     """Per-layer weights aligned with a NetSpec's layers (None for stateless ones).
 
-    Treated as immutable: training copies before updating, arrays are never
-    mutated in place, so params are safe to share across threads for reading.
+    Treated as immutable: ``train`` updates only its own private copies in
+    place, so params are safe to share across threads for reading.
     """
 
     layers: tuple[LayerParams | None, ...]
@@ -453,6 +453,20 @@ class TrainConfig:
             raise ContractError(f"unknown lr_schedule {self.lr_schedule!r}")
         if self.lr_schedule == "step" and (self.lr_step_every < 1 or self.lr_step_factor <= 0):
             raise ContractError("step schedule needs lr_step_every >= 1 and lr_step_factor > 0")
+
+    def for_run(
+        self, seed: int, finetune: bool = False, epochs=None, learning_rate=None, freeze_below=None
+    ) -> TrainConfig:
+        """This config with one run's seed and overrides.  An override left at
+        None keeps this config's value, except that a fine-tune run trains at
+        FINETUNE_LR_FACTOR times this config's learning rate."""
+        if learning_rate is None:
+            learning_rate = self.learning_rate * FINETUNE_LR_FACTOR if finetune else self.learning_rate
+        epochs = self.epochs if epochs is None else epochs
+        freeze_below = self.freeze_below if freeze_below is None else freeze_below
+        return dataclasses.replace(
+            self, seed=seed, epochs=epochs, learning_rate=learning_rate, freeze_below=freeze_below
+        )
 
     def lr_at(self, epoch: int) -> float:
         if self.lr_schedule == "step":
@@ -597,7 +611,7 @@ def train(
     current = params.copy()
     velocity = params.zeros_like()
     rng = Rng(cfg.seed)
-    frozen = cfg.freeze_below if cfg.freeze_below is not None else 0
+    trainable = [i for i, lp in enumerate(current.layers) if lp is not None and i >= (cfg.freeze_below or 0)]
     history: list[float] = []
     for epoch in range(cfg.epochs):
         lr = cfg.lr_at(epoch)
@@ -607,19 +621,12 @@ def train(
             idx = order[start : start + cfg.batch_size]
             loss, grads = loss_and_grads(spec, current, images[idx], labels[idx], cfg.freeze_below)
             loss_sum += loss * idx.size
-            new_layers = []
-            new_velocity = []
-            for i, (lp, vp, gp) in enumerate(zip(current.layers, velocity.layers, grads.layers)):
-                if lp is None or i < frozen:
-                    new_layers.append(lp)
-                    new_velocity.append(vp)
-                    continue
-                vw = cfg.momentum * vp.weight + (gp.weight + cfg.weight_decay * lp.weight)
-                vb = cfg.momentum * vp.bias + (gp.bias + cfg.weight_decay * lp.bias)
-                new_layers.append(LayerParams(lp.weight - lr * vw, lp.bias - lr * vb))
-                new_velocity.append(LayerParams(vw, vb))
-            current = NetParams(tuple(new_layers))
-            velocity = NetParams(tuple(new_velocity))
+            for i in trainable:
+                lp, vp, gp = current.layers[i], velocity.layers[i], grads.layers[i]
+                for p, v, g in ((lp.weight, vp.weight, gp.weight), (lp.bias, vp.bias, gp.bias)):
+                    v *= cfg.momentum
+                    v += g + cfg.weight_decay * p
+                    p -= lr * v
         history.append(loss_sum / n)
     return current, history
 
@@ -646,17 +653,22 @@ def reinit_head(
     return new_spec, NetParams(tuple(new_params))
 
 
-def finetune_config(cfg: TrainConfig, seed: int, epochs: int | None = None) -> TrainConfig:
-    """Fine-tuning policy: continue from an existing trunk at FINETUNE_LR_FACTOR
-    times the scratch learning rate."""
-    return dataclasses.replace(
-        cfg,
-        learning_rate=cfg.learning_rate * FINETUNE_LR_FACTOR,
-        seed=seed,
-        epochs=cfg.epochs if epochs is None else epochs,
-    )
+def fit(
+    images, labels, n_classes: int, cfg: TrainConfig, init_seed: int, trunk: Network | None = None
+) -> tuple[Network, list[float]]:
+    """Build a net with an n_classes head, train it on (images, labels) and
+    return it with its per-epoch mean loss.  The only place a net is built
+    for training.
 
-
-def subset_train_seeds(seed: int, index: int) -> tuple[int, int]:
-    """(head init seed, training seed) for the index-th member of a seeded group."""
-    return derive_seed(seed, index, 0), derive_seed(seed, index, 1)
+    With no trunk the net is the default spec, initialized from init_seed;
+    with one it is the trunk with a fresh head drawn from init_seed.  The
+    batch is capped at the training set size.
+    """
+    if trunk is None:
+        spec = default_spec(images.shape[1:], n_classes)
+        params = init_params(spec, Rng(init_seed))
+    else:
+        spec, params = reinit_head(trunk.spec, trunk.params, n_classes, Rng(init_seed))
+    cfg = dataclasses.replace(cfg, batch_size=min(cfg.batch_size, len(labels)))
+    params, history = train(spec, params, images, labels, cfg)
+    return Network(spec, params), history

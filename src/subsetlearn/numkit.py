@@ -12,6 +12,10 @@ import numpy as np
 
 from .errors import ContractError, NotPositiveDefiniteError, ShapeError
 
+# Largest |a - a.T| entry, relative to max(1, max |a|), that sym_eig and
+# cholesky accept as symmetric.
+SYMMETRY_TOL = 1e-9
+
 
 def derive_seed(seed: int, *keys: int) -> int:
     """Deterministically expand one seed into a per-component seed.
@@ -70,35 +74,34 @@ def as_matrix(a, name: str = "a") -> np.ndarray:
     return arr
 
 
-def _check_square_symmetric(a: np.ndarray, tol: float, what: str) -> np.ndarray:
+def _check_square_symmetric(a: np.ndarray, what: str) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} requires a square matrix, got {a.shape}")
     n = a.shape[0]
     if n == 0:
         raise ShapeError(f"{what} requires a nonempty matrix")
     scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.T))) > tol * scale:
-        raise ContractError(f"{what} requires a symmetric matrix (tol {tol:g})")
+    if float(np.max(np.abs(a - a.T))) > SYMMETRY_TOL * scale:
+        raise ContractError(f"{what} requires a symmetric matrix (tol {SYMMETRY_TOL:g})")
     return 0.5 * (a + a.T)
 
 
-def sym_eig(a, symmetry_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending and
     eigenvectors as matching orthonormal columns, so a == V diag(w) V.T up to
     rounding.
     """
-    A = _check_square_symmetric(as_matrix(a), symmetry_tol, "sym_eig")
+    A = _check_square_symmetric(as_matrix(a), "sym_eig")
     eigenvalues, vectors = np.linalg.eigh(A)
     order = np.argsort(-eigenvalues, kind="stable")
     return eigenvalues[order], np.ascontiguousarray(vectors[:, order])
 
 
-def cholesky(a, symmetry_tol: float = 1e-9) -> np.ndarray:
+def cholesky(a) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix."""
-    a = as_matrix(a)
-    A = _check_square_symmetric(a, symmetry_tol, "cholesky")
+    A = _check_square_symmetric(as_matrix(a), "cholesky")
     try:
         return np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:

@@ -5,7 +5,6 @@ datasets and model bundles.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import threading
@@ -303,8 +302,14 @@ def run_stage_graph(
         rows = ds.rows("train")
         images = labels = None  # let the last stage's train copy go before this one is made
         images, labels = ds.images[rows], ds.labels[rows]
-        epochs = stage.epochs if stage.epochs is not None else base_cfg.epochs
-        knobs = (i, stage.mode, epochs, stage.learning_rate, stage.freeze_below, ds.n_classes)
+        cfg = base_cfg.for_run(
+            derive_seed(base_cfg.seed, 2000 + i),
+            finetune=stage.mode == "ft",
+            epochs=stage.epochs,
+            learning_rate=stage.learning_rate,
+            freeze_below=stage.freeze_below,
+        )
+        knobs = (i, stage.mode, cfg.epochs, stage.learning_rate, stage.freeze_below, ds.n_classes)
         prefix.update(repr(knobs + (images.shape, images.dtype, labels.dtype)).encode())
         prefix.update(np.ascontiguousarray(images))
         prefix.update(np.ascontiguousarray(labels))
@@ -314,29 +319,10 @@ def run_stage_graph(
             net, history = hit
             histories.append(list(history))
             continue
-        if stage.mode == "rt":
-            spec = convnet.default_spec(ds.images.shape[1:], ds.n_classes)
-            params = convnet.init_params(spec, Rng(derive_seed(base_cfg.seed, 1000 + i)))
-            lr = stage.learning_rate if stage.learning_rate is not None else base_cfg.learning_rate
-        else:
-            spec, params = convnet.reinit_head(
-                net.spec, net.params, ds.n_classes, Rng(derive_seed(base_cfg.seed, 1000 + i))
-            )
-            lr = (
-                stage.learning_rate
-                if stage.learning_rate is not None
-                else base_cfg.learning_rate * convnet.FINETUNE_LR_FACTOR
-            )
-        cfg = dataclasses.replace(
-            base_cfg,
-            learning_rate=lr,
-            epochs=epochs,
-            seed=derive_seed(base_cfg.seed, 2000 + i),
-            batch_size=min(base_cfg.batch_size, rows.size),
-            freeze_below=stage.freeze_below if stage.freeze_below is not None else base_cfg.freeze_below,
+        # net is None exactly at the first stage, the only rt one
+        net, history = convnet.fit(
+            images, labels, ds.n_classes, cfg, derive_seed(base_cfg.seed, 1000 + i), trunk=net
         )
-        params, history = convnet.train(spec, params, images, labels, cfg)
-        net = Network(spec, params)
         _cache_stage(key, net, history)
         histories.append(history)
     return StageResult(net=net, histories=histories, name=graph.name, steps=graph.steps)
@@ -453,6 +439,15 @@ class SystemConfig:
         return self.lda_out_dim if self.lda_out_dim is not None else min(n_classes - 1, 32)
 
 
+def precluster(config: SystemConfig, feats: np.ndarray, labels, tap: Tap | str, lda: LdaModel | None):
+    """The system's class pre-clustering: k-means into config.k subsets with
+    config.kmeans_restarts restarts, seeded from the run seed."""
+    rng = Rng(derive_seed(config.train.seed, 101))
+    return _cluster.precluster_classes(
+        feats, labels, tap, lda, config.k, rng, restarts=config.kmeans_restarts
+    )
+
+
 def fuse_dataset_features(
     bundle_base: Network,
     ensemble: SubsetEnsemble,
@@ -478,7 +473,6 @@ def fuse_dataset_features(
 
 def build_system(
     target: DatasetHandle,
-    domain: DatasetHandle | None = None,
     config: SystemConfig | None = None,
     graph: StageGraph | None = None,
     extra_datasets: dict[str, DatasetHandle] | None = None,
@@ -487,21 +481,18 @@ def build_system(
     """Train the complete system on the target's train split.
 
     Steps: base network via the stage graph (default: domain rt then target
-    ft, or target rt when no domain is given), penultimate features, LDA,
-    class pre-clustering into k subsets, per-subset fine-tuning, selector
-    training, feature fusion for every train image, one-vs-all SVM.
+    ft when extra_datasets has a "domain" entry, else target rt), penultimate
+    features, LDA, class pre-clustering into k subsets, per-subset
+    fine-tuning, selector training, feature fusion for every train image,
+    one-vs-all SVM.
     """
     config = config or SystemConfig()
     config.validate()
     if config.k > target.n_classes:
         raise ContractError("k must not exceed the target class count")
-    datasets = {"target": target}
-    if domain is not None:
-        datasets["domain"] = domain
-    if extra_datasets:
-        datasets.update(extra_datasets)
+    datasets = {"target": target, **(extra_datasets or {})}
     if graph is None:
-        graph = default_stage_graph("target", domain is not None)
+        graph = default_stage_graph("target", "domain" in datasets)
     stage = run_stage_graph(graph, datasets, config.train)
     base = stage.net
 
@@ -510,27 +501,20 @@ def build_system(
     feats = extract_features(base, images, Tap.FC_PENULTIMATE)
 
     lda = _cluster.lda_fit(feats, labels, out_dim=config.lda_dim(target.n_classes))
-    cmap, kmeans, _ = _cluster.precluster_classes(
-        feats,
-        labels,
-        Tap.FC_PENULTIMATE,
-        lda,
-        config.k,
-        Rng(derive_seed(config.train.seed, 101)),
-        restarts=config.kmeans_restarts,
-    )
+    cmap, kmeans, _ = precluster(config, feats, labels, Tap.FC_PENULTIMATE, lda)
 
     partition = subset.build_partition(cmap, labels)
-    subset_cfg = convnet.finetune_config(
-        config.train, derive_seed(config.train.seed, 201), config.subset_epochs
+    subset_cfg = config.train.for_run(
+        derive_seed(config.train.seed, 201),
+        finetune=True,
+        epochs=config.subset_epochs,
+        learning_rate=config.subset_lr,
     )
-    if config.subset_lr is not None:
-        subset_cfg = dataclasses.replace(subset_cfg, learning_rate=config.subset_lr)
     ensemble = subset.train_subset_nets(partition, images, base, subset_cfg, workers=workers)
 
     if config.selector == "network":
-        selector_cfg = convnet.finetune_config(
-            config.train, derive_seed(config.train.seed, 301), config.selector_epochs
+        selector_cfg = config.train.for_run(
+            derive_seed(config.train.seed, 301), finetune=True, epochs=config.selector_epochs
         )
         ensemble.selector = subset.train_selector_net(cmap, images, labels, base, selector_cfg)
     else:
@@ -569,20 +553,14 @@ def evaluate(bundle: ModelBundle, dataset: DatasetHandle, split: str = "test") -
     return metrics_from_predictions(dataset.labels[rows], preds, dataset.n_classes)
 
 
-def evaluate_feature_svm(
-    net: Network,
-    dataset: DatasetHandle,
-    tap: Tap = Tap.FC_PENULTIMATE,
-    lam: float = fusion.SVM_LAMBDA,
-    epochs: int = fusion.SVM_EPOCHS,
-) -> Metrics:
-    """Feature-protocol baseline: one-vs-all SVM on l2-normalized tap features
-    of the train split, scored on the test split."""
+def evaluate_feature_svm(net: Network, dataset: DatasetHandle, epochs: int = fusion.SVM_EPOCHS) -> Metrics:
+    """Feature-protocol baseline: one-vs-all SVM on l2-normalized penultimate
+    features of the train split, scored on the test split."""
     tr = dataset.rows("train")
     te = dataset.rows("test")
-    train_feats = fusion.l2_normalize_rows(extract_features(net, dataset.images[tr], tap))
-    test_feats = fusion.l2_normalize_rows(extract_features(net, dataset.images[te], tap))
-    svm = fusion.svm_train(train_feats, dataset.labels[tr], lam=lam, epochs=epochs)
+    train_feats = fusion.l2_normalize_rows(extract_features(net, dataset.images[tr], Tap.FC_PENULTIMATE))
+    test_feats = fusion.l2_normalize_rows(extract_features(net, dataset.images[te], Tap.FC_PENULTIMATE))
+    svm = fusion.svm_train(train_feats, dataset.labels[tr], epochs=epochs)
     preds, _ = fusion.svm_predict_batch(svm, test_feats)
     return metrics_from_predictions(dataset.labels[te], preds, dataset.n_classes)
 
@@ -607,6 +585,12 @@ def _spec_from_json(obj: dict) -> NetSpec:
         return NetSpec(layers, tuple(shape), classes)
     except (KeyError, TypeError, ValueError, ContractError, ShapeError) as exc:
         raise InvariantError(f"malformed network description: {exc}") from exc
+
+
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ContractError(f"{what} must be a JSON integer, got {value!r}")
+    return value
 
 
 def _params_to_tensors(prefix: str, params: NetParams, out: dict) -> None:
@@ -722,29 +706,33 @@ def load_bundle(path) -> ModelBundle:
     if info.get("kind") != "bundle":
         raise InvariantError(f"{path}: not a bundle container")
     try:
+        k = _json_int(info["k"], "k")
+        provenance = info["provenance"]
+        if not isinstance(provenance, dict):
+            raise InvariantError(f"{path}: provenance must be a JSON object")
         base_spec = _spec_from_json(info["base_spec"])
         base = Network(base_spec, _params_from_tensors("base", base_spec, tensors))
         lda = LdaModel(
             projection=tensors["lda/projection"],
             global_mean=tensors["lda/global_mean"],
-            out_dim=int(info["lda_out_dim"]),
+            out_dim=_json_int(info["lda_out_dim"], "lda_out_dim"),
             eigenvalues=tensors["lda/eigenvalues"],
         )
         cmap = ClassClusterMap(
             class_to_subset=np.rint(tensors["cluster/class_to_subset"]).astype(np.int64),
-            k=int(info["k"]),
+            k=k,
         )
         kmeans = KMeansModel(
             centroids=tensors["kmeans/centroids"],
             inertia=float(tensors["kmeans/inertia"]),
-            k=int(info["k"]),
-            seed=int(info["kmeans_seed"]),
+            k=k,
+            seed=_json_int(info["kmeans_seed"], "kmeans_seed"),
         )
         nets = []
         for i, spec_obj in enumerate(info["subset_specs"]):
             spec_i = _spec_from_json(spec_obj)
             nets.append(Network(spec_i, _params_from_tensors(f"subset/{i}", spec_i, tensors)))
-        ensemble = SubsetEnsemble(k=int(info["k"]), nets=tuple(nets), tap=Tap(info["tap"]))
+        ensemble = SubsetEnsemble(k=k, nets=tuple(nets), tap=Tap(info["tap"]))
         if info["selector"] == "network":
             spec_s = _spec_from_json(info["selector_spec"])
             ensemble.selector = NetSelector(
@@ -758,7 +746,9 @@ def load_bundle(path) -> ModelBundle:
             weights=tensors["svm/weights"],
             biases=tensors["svm/biases"],
             lam=float(info["svm_lambda"]),
-            checkpoint_epochs=tuple(int(e) for e in info["svm_checkpoint_epochs"]),
+            checkpoint_epochs=tuple(
+                _json_int(e, "svm_checkpoint_epochs") for e in info["svm_checkpoint_epochs"]
+            ),
             checkpoint_objectives=tensors["svm/checkpoint_objectives"],
         )
         bundle = ModelBundle(
@@ -768,7 +758,7 @@ def load_bundle(path) -> ModelBundle:
             kmeans=kmeans,
             ensemble=ensemble,
             svm=svm,
-            provenance=info["provenance"],
+            provenance=provenance,
         )
     except InvariantError:
         raise

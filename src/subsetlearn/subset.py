@@ -5,7 +5,6 @@ centroid-based or a network-based selector.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 from dataclasses import dataclass
 
@@ -15,7 +14,7 @@ from . import convnet
 from .cluster import ClassClusterMap, KMeansModel, LdaModel, kmeans_assign, lda_transform
 from .convnet import Network, Tap, TrainConfig
 from .errors import ContractError, ShapeError
-from .numkit import Rng
+from .numkit import derive_seed
 
 log = logging.getLogger(__name__)
 
@@ -109,6 +108,18 @@ def build_partition(cmap: ClassClusterMap, labels) -> SubsetPartition:
     return SubsetPartition(subsets=tuple(subsets))
 
 
+def _fine_tune(
+    base: Network, images: np.ndarray, labels, n_classes: int, cfg: TrainConfig, index: int
+) -> Network:
+    """The base trunk with a fresh n_classes head, fine-tuned on (images,
+    labels).  Member ``index`` of the group seeded by cfg.seed draws its head
+    from derive_seed(cfg.seed, index, 0) and its shuffles from
+    derive_seed(cfg.seed, index, 1)."""
+    run_cfg = cfg.for_run(derive_seed(cfg.seed, index, 1))
+    net, _ = convnet.fit(images, labels, n_classes, run_cfg, derive_seed(cfg.seed, index, 0), trunk=base)
+    return net
+
+
 def train_subset_nets(
     partition: SubsetPartition,
     images: np.ndarray,
@@ -122,7 +133,6 @@ def train_subset_nets(
     subset's class count and trains only on that subset's rows.  Per-subset
     seeds derive from cfg.seed, so results do not depend on scheduling order.
     """
-    cfg.validate()
 
     def _train_one(k: int) -> Network:
         info = partition.subsets[k]
@@ -130,15 +140,7 @@ def train_subset_nets(
             log.warning(
                 "subset %d contains a single class; its softmax head is degenerate", k
             )
-        head_seed, train_seed = convnet.subset_train_seeds(cfg.seed, k)
-        spec_k, params_k = convnet.reinit_head(
-            base.spec, base.params, int(info.classes.size), Rng(head_seed)
-        )
-        cfg_k = dataclasses.replace(
-            cfg, seed=train_seed, batch_size=min(cfg.batch_size, int(info.rows.size))
-        )
-        trained, _ = convnet.train(spec_k, params_k, images[info.rows], info.local_labels, cfg_k)
-        return Network(spec_k, trained)
+        return _fine_tune(base, images[info.rows], info.local_labels, int(info.classes.size), cfg, k)
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -161,14 +163,8 @@ def train_selector_net(
 ) -> NetSelector:
     """Train the network selector: subset indices become the class labels and
     the head is resized to k outputs, starting from the base trunk."""
-    cfg.validate()
     labels = np.asarray(labels).astype(np.int64)
-    subset_labels = cmap.class_to_subset[labels]
-    head_seed, train_seed = convnet.subset_train_seeds(cfg.seed, 0)
-    spec_s, params_s = convnet.reinit_head(base.spec, base.params, cmap.k, Rng(head_seed))
-    cfg_s = dataclasses.replace(cfg, seed=train_seed, batch_size=min(cfg.batch_size, len(labels)))
-    trained, _ = convnet.train(spec_s, params_s, images, subset_labels, cfg_s)
-    return NetSelector(net=Network(spec_s, trained))
+    return NetSelector(net=_fine_tune(base, images, cmap.class_to_subset[labels], cmap.k, cfg, 0))
 
 
 def select_batch(selector: Selector, images: np.ndarray, base_feats: np.ndarray) -> np.ndarray:

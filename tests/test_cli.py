@@ -1,4 +1,6 @@
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from subsetlearn import cli, cluster, container, pipeline
 from subsetlearn.config import parse_config
 from subsetlearn.convnet import TrainConfig
 from subsetlearn.errors import ConfigError
+from subsetlearn.numkit import derive_seed
 from subsetlearn.pipeline import SystemConfig
 
 CONFIG = """
@@ -252,6 +255,11 @@ class TestEval:
             ("bundle-seed3.sfl", "base_spec", ["relu", 99]),
             ("bundle-seed3.sfl", "base_spec.input", [3, 16.7, 16]),
             ("bundle-seed3.sfl", "base_spec.classes", True),
+            ("bundle-seed3.sfl", "provenance", [1, 2]),
+            ("bundle-seed3.sfl", "k", 2.9),
+            ("bundle-seed3.sfl", "lda_out_dim", 3.0),
+            ("bundle-seed3.sfl", "kmeans_seed", 1.5),
+            ("bundle-seed3.sfl", "svm_checkpoint_epochs", [1.0]),
         ],
     )
     def test_malformed_description_exit_3(self, run_cli, tmp_path, config_file, which, key, value):
@@ -273,6 +281,31 @@ class TestEval:
         result = run_cli(
             "--out-dir", str(ev), "eval", str(out / "bundle-seed3.sfl"), str(out / "target.sfl"), cwd=tmp_path
         )
+        assert result.returncode == 3, result.stderr
+        assert not (ev / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "tensor,offset,payload",
+        [
+            (np.zeros(2), 2, b"\xff"),  # name is not UTF-8
+            (np.zeros(128), 3, bytes([100])),  # rank above numpy's 64; the zeros give 99 more extents
+            (np.zeros((0, 2)), 12, struct.pack("<Q", 2**62)),  # empty, with an extent past intp
+        ],
+        ids=["name_not_utf8", "rank_above_64", "empty_with_huge_extent"],
+    )
+    def test_malformed_tensor_header_exit_3(self, run_cli, tmp_path, config_file, tensor, offset, payload):
+        out = tmp_path / "out"
+        generated = run_cli("--out-dir", str(out), "gen", "--config", str(config_file), cwd=tmp_path)
+        assert generated.returncode == 0, generated.stderr
+        bundle_path = tmp_path / "edited.sfl"
+        container.write_container(bundle_path, {"x": tensor}, "")
+        data = bytearray(bundle_path.read_bytes())
+        at = 16 + offset  # magic, version, empty metadata block, tensor count; then the tensor "x"
+        data[at : at + len(payload)] = payload
+        data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])))  # so the body is parsed
+        bundle_path.write_bytes(bytes(data))
+        ev = tmp_path / "ev"
+        result = run_cli("--out-dir", str(ev), "eval", str(bundle_path), str(out / "target.sfl"), cwd=tmp_path)
         assert result.returncode == 3, result.stderr
         assert not (ev / "metrics.csv").exists()
 
@@ -410,15 +443,24 @@ class TestConfigParsing:
         for seed in cfg.seeds:
             assert cfg.system_config(seed) == SystemConfig(train=TrainConfig(seed=seed))
 
-    def test_build_and_cluster_report_share_lda_out_dim(self, tmp_path, monkeypatch, config_file):
+    def test_build_and_cluster_report_share_lda_out_dim(self, tmp_path, monkeypatch):
         out_dims = []
+        kmeans_runs = []
         lda_fit = cluster.lda_fit
+        precluster_classes = cluster.precluster_classes
 
         def recording(features, labels, out_dim, ridge=None):
             out_dims.append(out_dim)
             return lda_fit(features, labels, out_dim, ridge)
 
+        def recording_kmeans(features, labels, tap, lda, k, rng, restarts):
+            kmeans_runs.append((rng.seed, restarts))
+            return precluster_classes(features, labels, tap, lda, k, rng, restarts=restarts)
+
         monkeypatch.setattr(cluster, "lda_fit", recording)
+        monkeypatch.setattr(cluster, "precluster_classes", recording_kmeans)
+        config_file = tmp_path / "run.ini"
+        config_file.write_text(with_entry("cluster", "restarts = 3"))
         cfg = parse_config(config_file)
         cli.cmd_cluster_report(cfg, tmp_path)
         datasets = cfg.build_datasets(cfg.seeds[0])
@@ -426,3 +468,5 @@ class TestConfigParsing:
             datasets[cfg.target], graph=cfg.stage_graph(), extra_datasets=datasets, config=cfg.system_config(3)
         )
         assert out_dims == [3, 3]  # min(C - 1, 32) for the 4-class target
+        # three taps in cluster-report, then the build: one seed and the configured restarts
+        assert kmeans_runs == [(derive_seed(3, 101), 3)] * 4

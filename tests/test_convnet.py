@@ -534,6 +534,6 @@ class TestTrainConfig:
 
     def test_finetune_config_policy(self):
         cfg = TrainConfig(learning_rate=0.05, epochs=30)
-        ft = convnet.finetune_config(cfg, seed=7, epochs=10)
+        ft = cfg.for_run(7, finetune=True, epochs=10)
         assert ft.learning_rate == pytest.approx(0.005)
         assert ft.seed == 7 and ft.epochs == 10

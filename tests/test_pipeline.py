@@ -1,13 +1,15 @@
 import collections
 import dataclasses
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from subsetlearn import cluster, convnet, fusion, pipeline, subset
 from subsetlearn.convnet import Conv, Fc, Flatten, MaxPool, NetSpec, Relu, Softmax, Tap, TrainConfig
-from subsetlearn.errors import ContractError, InvariantError, ShapeError
+from subsetlearn.errors import ContainerError, ContractError, InvariantError, ShapeError
 from subsetlearn.numkit import Rng
 from subsetlearn.pipeline import (
     StageGraph,
@@ -38,6 +40,22 @@ TINY_SYSTEM = SystemConfig(
     train=TrainConfig(epochs=2, seed=5, learning_rate=0.02, batch_size=16),
     svm_epochs=30,
 )
+
+
+def header_offsets(data: bytes) -> list[int]:
+    """Offsets of every container byte outside the float payloads: the body
+    bytes a file's metadata, tensor names, ranks and extents live in."""
+    (meta_len,) = struct.unpack_from("<I", data, 8)
+    offsets = list(range(8, 16 + meta_len))
+    cursor = 16 + meta_len
+    for _ in range(struct.unpack_from("<I", data, cursor - 4)[0]):
+        (name_len,) = struct.unpack_from("<H", data, cursor)
+        rank = data[cursor + 2 + name_len]
+        header_end = cursor + 3 + name_len + 8 * rank
+        shape = struct.unpack_from(f"<{rank}Q", data, header_end - 8 * rank)
+        offsets += range(cursor, header_end)
+        cursor = header_end + 8 * int(np.prod(shape, dtype=np.int64))
+    return offsets
 
 
 @pytest.fixture(scope="module")
@@ -390,7 +408,7 @@ class TestBuildSystem:
         target = generate_synthetic(**TINY)
         domain = generate_synthetic(**{**TINY, "seed": 8})
         cfg = SystemConfig(k=2, train=TrainConfig(epochs=1, seed=4, learning_rate=0.02, batch_size=16), svm_epochs=10)
-        bundle = build_system(target, domain=domain, config=cfg)
+        bundle = build_system(target, extra_datasets={"domain": domain}, config=cfg)
         assert bundle.provenance["graph"] == "domain-rt-target-ft"
         assert bundle.provenance["steps"] == 2
 
@@ -653,6 +671,24 @@ class TestPersistence:
         pipeline.container.write_container(path, tensors, json.dumps(info))
         with pytest.raises(InvariantError, match="class_names"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("kind", ["bundle", "dataset"])
+    def test_byte_edits_raise_only_container_errors(self, tmp_path, tiny_bundle, kind):
+        ds, bundle = tiny_bundle
+        path = tmp_path / f"{kind}.sfl"
+        save_bundle(path, bundle) if kind == "bundle" else save_dataset(path, ds)
+        load = load_bundle if kind == "bundle" else load_dataset
+        clean = path.read_bytes()
+        rng = np.random.default_rng(2024)
+        for offset in rng.choice(header_offsets(clean), size=300):
+            data = bytearray(clean)
+            data[offset] = int(rng.integers(256))
+            data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])))  # so the body is parsed
+            path.write_bytes(bytes(data))
+            try:
+                load(path)
+            except ContainerError:
+                pass
 
     def test_layer_json_round_trip(self):
         spec = NetSpec(

@@ -8,7 +8,7 @@ from subsetlearn import convnet, pipeline, subset
 from subsetlearn.cluster import ClassClusterMap, kmeans_assign, lda_transform
 from subsetlearn.convnet import Network, Tap, TrainConfig
 from subsetlearn.errors import ContractError
-from subsetlearn.numkit import Rng
+from subsetlearn.numkit import Rng, derive_seed
 from subsetlearn.subset import CentroidSelector
 
 
@@ -90,7 +90,7 @@ class TestTrainSubsetNets:
         part = subset.build_partition(cmap, labels)
         cfg = TrainConfig(epochs=2, batch_size=8, seed=7, learning_rate=0.002)
         ens = subset.train_subset_nets(part, images, base_net, cfg)
-        head_seed, train_seed = convnet.subset_train_seeds(cfg.seed, 0)
+        head_seed, train_seed = derive_seed(cfg.seed, 0, 0), derive_seed(cfg.seed, 0, 1)
         spec, params = convnet.reinit_head(base_net.spec, base_net.params, 4, Rng(head_seed))
         direct, _ = convnet.train(
             spec, params, images, labels, dataclasses.replace(cfg, seed=train_seed, batch_size=8)
