@@ -35,14 +35,13 @@ def cmd_gen(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _system_name(cfg: RunConfig) -> str:
-    return f"{cfg.stage_graph().name}+subset({cfg.system.selector})"
+def _system_name(provenance: dict) -> str:
+    return f"{provenance['graph']}+subset({provenance['selector']})"
 
 
 def cmd_train(cfg: RunConfig, out_dir: Path, workers: int) -> int:
     """Train the full system once per seed; write bundles and a metrics CSV."""
     rows = []
-    name = _system_name(cfg)
     for seed in cfg.seeds:
         datasets = cfg.build_datasets(seed)
         target = datasets[cfg.target]
@@ -56,7 +55,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, workers: int) -> int:
         metrics = pipeline.evaluate(bundle, target, "test")
         bundle_path = out_dir / f"bundle-seed{seed}.sfl"
         pipeline.save_bundle(bundle_path, bundle)
-        rows.append((name, seed, metrics.mean_accuracy, metrics.overall_accuracy))
+        rows.append((_system_name(bundle.provenance), seed, metrics.mean_accuracy, metrics.overall_accuracy))
         print(f"{bundle_path} seed={seed} mean_accuracy={metrics.mean_accuracy!r}")
     metrics_path = out_dir / "metrics.csv"
     pipeline.write_metrics_csv(metrics_path, rows)
@@ -69,8 +68,7 @@ def cmd_eval(bundle_path: Path, dataset_path: Path, out_dir: Path) -> int:
     bundle = pipeline.load_bundle(bundle_path)
     dataset = pipeline.load_dataset(dataset_path)
     metrics = pipeline.evaluate(bundle, dataset, "test")
-    name = f"{bundle.provenance.get('graph', 'unknown')}+subset({bundle.provenance.get('selector', '?')})"
-    seed = int(bundle.provenance.get("seed", -1))
+    name, seed = _system_name(bundle.provenance), bundle.provenance["seed"]
     pipeline.write_metrics_csv(
         out_dir / "metrics.csv", [(name, seed, metrics.mean_accuracy, metrics.overall_accuracy)]
     )

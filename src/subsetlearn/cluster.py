@@ -16,6 +16,8 @@ from .numkit import Rng
 
 # Lloyd iterations per k-means restart; a run stops early once assignments repeat.
 KMEANS_MAX_ITER = 100
+# k-means++ restarts of one clustering; the best inertia wins.
+KMEANS_RESTARTS = 10
 
 
 @dataclass(frozen=True)
@@ -245,8 +247,8 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iter: int):
 def kmeans_fit(
     points: np.ndarray,
     k: int,
-    restarts: int = 10,
-    rng: Rng | None = None,
+    rng: Rng,
+    restarts: int = KMEANS_RESTARTS,
 ) -> KMeansModel:
     """Lloyd's algorithm with k-means++ seeding and restarts.
 
@@ -255,8 +257,6 @@ def kmeans_fit(
     execute in any order without changing the result.
     """
     points = numkit.as_matrix(points, "points")
-    if rng is None:
-        raise ContractError("kmeans_fit requires an rng")
     n = points.shape[0]
     if k < 1:
         raise ContractError("k must be >= 1")
@@ -302,7 +302,7 @@ def precluster_classes(
     lda: LdaModel | None,
     k: int,
     rng: Rng,
-    restarts: int = 10,
+    restarts: int = KMEANS_RESTARTS,
 ) -> tuple[ClassClusterMap, KMeansModel, TapReport]:
     """Cluster classes into k subsets by k-means over per-class mean features.
 

@@ -36,20 +36,6 @@ _GENERATOR_KEYS = {
     "seed": int,
 }
 
-# (section, key) -> (SystemConfig field, type); an absent key keeps the field's default
-_SYSTEM_KEYS = {
-    ("run", "k"): ("k", int),
-    ("run", "selector"): ("selector", str),
-    ("subset", "epochs"): ("subset_epochs", int),
-    ("subset", "learning_rate"): ("subset_lr", float),
-    ("selector", "epochs"): ("selector_epochs", int),
-    ("svm", "lambda"): ("svm_lambda", float),
-    ("svm", "epochs"): ("svm_epochs", int),
-    ("cluster", "lda_out_dim"): ("lda_out_dim", int),
-    ("cluster", "restarts"): ("kmeans_restarts", int),
-}
-
-
 @dataclass
 class RunConfig:
     seeds: tuple[int, ...]
@@ -89,6 +75,32 @@ class RunConfig:
         return out
 
 
+# (section, key) -> (owner, field, type) for every key of the fixed sections.
+# A TrainConfig or SystemConfig key sets that field, and an absent one keeps
+# its default; parse_config reads the RunConfig keys itself.
+_KEYS = {
+    ("run", "seeds"): (RunConfig, "seeds", str),
+    ("run", "target"): (RunConfig, "target", str),
+    ("graph", "stages"): (RunConfig, "graph", str),
+    ("run", "k"): (SystemConfig, "k", int),
+    ("run", "selector"): (SystemConfig, "selector", str),
+    ("train", "learning_rate"): (TrainConfig, "learning_rate", float),
+    ("train", "momentum"): (TrainConfig, "momentum", float),
+    ("train", "weight_decay"): (TrainConfig, "weight_decay", float),
+    ("train", "batch_size"): (TrainConfig, "batch_size", int),
+    ("train", "epochs"): (TrainConfig, "epochs", int),
+    ("train", "lr_step_factor"): (TrainConfig, "lr_step_factor", float),
+    ("train", "lr_step_every"): (TrainConfig, "lr_step_every", int),
+    ("subset", "epochs"): (SystemConfig, "subset_epochs", int),
+    ("subset", "learning_rate"): (SystemConfig, "subset_lr", float),
+    ("selector", "epochs"): (SystemConfig, "selector_epochs", int),
+    ("svm", "lambda"): (SystemConfig, "svm_lambda", float),
+    ("svm", "epochs"): (SystemConfig, "svm_epochs", int),
+    ("cluster", "lda_out_dim"): (SystemConfig, "lda_out_dim", int),
+    ("cluster", "restarts"): (SystemConfig, "kmeans_restarts", int),
+}
+
+
 def _parse_value(section: str, key: str, raw: str, cast):
     try:
         return cast(raw)
@@ -101,7 +113,8 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
 
     Every problem raises ConfigError: unknown sections or keys, unparsable
     values, missing datasets, values SystemConfig or the stage graph rejects,
-    no seeds, or referenced files that do not exist.
+    no seeds, or referenced files that do not exist.  Dataset counts are
+    checked when build_datasets generates them.
     """
     path = Path(path)
     if not path.is_file():
@@ -114,50 +127,48 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
 
     if "run" not in parser:
         raise ConfigError("config requires a [run] section")
-    allowed = {"run": {"seeds", "seed", "target"}, "graph": {"stages"}}
-    for section, key in _SYSTEM_KEYS:
-        allowed.setdefault(section, set()).add(key)
+    section_keys: dict[str, set[str]] = {}
+    for section, key in _KEYS:
+        section_keys.setdefault(section, set()).add(key)
     for section in parser.sections():
-        if section not in allowed and section != "train" and not section.startswith("dataset."):
+        body = parser[section]
+        if section.startswith("dataset."):
+            allowed = {"file"} if "file" in body else set(_GENERATOR_KEYS)
+        elif section in section_keys:
+            allowed = section_keys[section]
+        else:
             raise ConfigError(f"unknown section [{section}]")
-    for section, keys in allowed.items():
-        unknown = sorted(set(parser[section]) - keys) if section in parser else []
+        unknown = sorted(set(body) - allowed)
         if unknown:
             raise ConfigError(f"[{section}] unknown key {unknown[0]!r}")
-    run = parser["run"]
+    values: dict[type, dict] = {RunConfig: {}, TrainConfig: {}, SystemConfig: {}}
+    for (section, key), (owner, name, cast) in _KEYS.items():
+        if parser.has_option(section, key):
+            values[owner][name] = _parse_value(section, key, parser[section][key], cast)
+
+    raw = values[RunConfig]  # strings, read below
     if seed_override is not None:
         seeds: tuple[int, ...] = (int(seed_override),)
     else:
-        raw_seeds = run.get("seeds", run.get("seed", "")).replace(",", " ").split()
+        raw_seeds = raw.get("seeds", "").replace(",", " ").split()
         if not raw_seeds:
             raise ConfigError("[run] must list at least one seed")
         seeds = tuple(_parse_value("run", "seeds", s, int) for s in raw_seeds)
-    target = run.get("target", "target").strip()
+    target = raw.get("target", "target").strip()
 
     datasets: dict[str, dict] = {}
     for section in parser.sections():
         if not section.startswith("dataset."):
             continue
-        ds_id = section[len("dataset.") :]
         body = parser[section]
         if "file" in body:
             file_path = Path(body["file"])
             if not file_path.is_file():
                 raise ConfigError(f"[{section}] file {file_path} does not exist")
-            extra = set(body) - {"file"}
-            if extra:
-                raise ConfigError(f"[{section}] file-backed dataset cannot also set {sorted(extra)}")
-            datasets[ds_id] = {"file": str(file_path)}
-            continue
-        params = {}
-        for key, raw in body.items():
-            if key not in _GENERATOR_KEYS:
-                raise ConfigError(f"[{section}] unknown key {key!r}")
-            params[key] = _parse_value(section, key, raw, _GENERATOR_KEYS[key])
-        for key in ("n_groups", "classes_per_group", "train_per_class", "test_per_class"):
-            if params.get(key, 1) < 1:
-                raise ConfigError(f"[{section}] {key} must be >= 1")
-        datasets[ds_id] = params
+            conf = {"file": str(file_path)}
+        else:
+            conf = {key: _parse_value(section, key, value, _GENERATOR_KEYS[key]) for key, value in body.items()}
+        datasets[section[len("dataset.") :]] = conf
     if not datasets:
         raise ConfigError("config defines no [dataset.*] sections")
     if target not in datasets:
@@ -165,7 +176,7 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
 
     graph = None
     if "graph" in parser:
-        stages = parser["graph"].get("stages", "").strip()
+        stages = raw.get("graph", "").strip()
         if not stages:
             raise ConfigError("[graph] requires a stages entry")
         try:
@@ -176,30 +187,8 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
             if stage.dataset not in datasets:
                 raise ConfigError(f"[graph] references unknown dataset {stage.dataset!r}")
 
-    train: dict = {}
-    if "train" in parser:
-        casts = {
-            "learning_rate": float,
-            "momentum": float,
-            "weight_decay": float,
-            "batch_size": int,
-            "epochs": int,
-            "lr_schedule": str,
-            "lr_step_factor": float,
-            "lr_step_every": int,
-        }
-        for key, raw in parser["train"].items():
-            if key not in casts:
-                raise ConfigError(f"[train] unknown key {key!r}")
-            train[key] = _parse_value("train", key, raw, casts[key])
-    overrides = {
-        name: _parse_value(section, key, parser[section][key], cast)
-        for (section, key), (name, cast) in _SYSTEM_KEYS.items()
-        if parser.has_option(section, key)
-    }
     try:
-        system = SystemConfig(train=TrainConfig(**train), **overrides)
-        system.validate()
+        system = SystemConfig(train=TrainConfig(**values[TrainConfig]), **values[SystemConfig])
     except ContractError as exc:
         raise ConfigError(str(exc)) from exc
     return RunConfig(seeds=seeds, target=target, datasets=datasets, graph=graph, system=system)

@@ -434,13 +434,12 @@ class TrainConfig:
     weight_decay: float = 5e-4
     batch_size: int = 32
     epochs: int = 30
-    lr_schedule: str = "step"  # "constant" or "step"
-    lr_step_factor: float = 0.1
+    lr_step_factor: float = 0.1  # the rate's multiplier every lr_step_every epochs; 1 keeps it constant
     lr_step_every: int = 20
     seed: int = 0
     freeze_below: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.learning_rate < 0:
             raise ContractError("learning_rate must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
@@ -449,10 +448,8 @@ class TrainConfig:
             raise ContractError("weight_decay must be >= 0")
         if self.batch_size < 1 or self.epochs < 1:
             raise ContractError("batch_size and epochs must be >= 1")
-        if self.lr_schedule not in ("constant", "step"):
-            raise ContractError(f"unknown lr_schedule {self.lr_schedule!r}")
-        if self.lr_schedule == "step" and (self.lr_step_every < 1 or self.lr_step_factor <= 0):
-            raise ContractError("step schedule needs lr_step_every >= 1 and lr_step_factor > 0")
+        if self.lr_step_every < 1 or self.lr_step_factor <= 0:
+            raise ContractError("lr_step_every must be >= 1 and lr_step_factor > 0")
 
     def for_run(
         self, seed: int, finetune: bool = False, epochs=None, learning_rate=None, freeze_below=None
@@ -469,9 +466,7 @@ class TrainConfig:
         )
 
     def lr_at(self, epoch: int) -> float:
-        if self.lr_schedule == "step":
-            return self.learning_rate * self.lr_step_factor ** (epoch // self.lr_step_every)
-        return self.learning_rate
+        return self.learning_rate * self.lr_step_factor ** (epoch // self.lr_step_every)
 
 
 def check_params(spec: NetSpec, params: NetParams) -> None:
@@ -597,7 +592,6 @@ def train(
     inputs and config reproduce the run bit for bit.  Input params are never
     mutated.
     """
-    cfg.validate()
     images = _check_batch(spec, images)
     labels = _check_labels(labels, spec.class_count)
     n = images.shape[0]

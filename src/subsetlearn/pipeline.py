@@ -189,7 +189,7 @@ class StageSpec:
 class StageGraph:
     stages: tuple[StageSpec, ...]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.stages:
             raise ContractError("stage graph must have at least one stage")
         if self.stages[0].mode != "rt":
@@ -240,9 +240,7 @@ def parse_stage_graph(text: str) -> StageGraph:
             stages.append(StageSpec(parts[0], parts[1], epochs=epochs))
         else:
             raise ContractError(f"bad stage token {token!r}")
-    graph = StageGraph(tuple(stages))
-    graph.validate()
-    return graph
+    return StageGraph(tuple(stages))
 
 
 # Stage outputs this process has trained, most recently used last: prefix key ->
@@ -289,8 +287,6 @@ def run_stage_graph(
     process has already trained is reused bit-identically from an LRU of
     STAGE_CACHE_SIZE stage outputs; the returned net's arrays are read-only.
     """
-    graph.validate()
-    base_cfg.validate()
     for stage in graph.stages:
         if stage.dataset not in datasets:
             raise ContractError(f"stage graph references missing dataset {stage.dataset!r}")
@@ -419,9 +415,9 @@ class SystemConfig:
     svm_lambda: float = fusion.SVM_LAMBDA
     svm_epochs: int = fusion.SVM_EPOCHS
     lda_out_dim: int | None = None
-    kmeans_restarts: int = 10
+    kmeans_restarts: int = _cluster.KMEANS_RESTARTS
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.k < 1:
             raise ContractError("k must be >= 1")
         if self.selector not in ("network", "centroid"):
@@ -432,7 +428,6 @@ class SystemConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ContractError(f"{name} must be >= 1")
-        self.train.validate()
 
     def lda_dim(self, n_classes: int) -> int:
         """LDA output width: lda_out_dim when set, else min(C - 1, 32)."""
@@ -487,7 +482,6 @@ def build_system(
     one-vs-all SVM.
     """
     config = config or SystemConfig()
-    config.validate()
     if config.k > target.n_classes:
         raise ContractError("k must not exceed the target class count")
     datasets = {"target": target, **(extra_datasets or {})}
@@ -666,7 +660,7 @@ def save_bundle(path, bundle: ModelBundle) -> None:
     meta = {
         "kind": "bundle",
         "k": bundle.ensemble.k,
-        "tap": bundle.ensemble.tap.value,
+        "tap": Tap.FC_PENULTIMATE.value,
         "selector": selector_kind,
         "base_spec": _spec_to_json(bundle.base.spec),
         "subset_specs": [_spec_to_json(net.spec) for net in bundle.ensemble.nets],
@@ -707,9 +701,14 @@ def load_bundle(path) -> ModelBundle:
         raise InvariantError(f"{path}: not a bundle container")
     try:
         k = _json_int(info["k"], "k")
+        if info["tap"] != Tap.FC_PENULTIMATE.value:
+            raise InvariantError(f"{path}: subset feature tap must be {Tap.FC_PENULTIMATE.value!r}")
         provenance = info["provenance"]
         if not isinstance(provenance, dict):
             raise InvariantError(f"{path}: provenance must be a JSON object")
+        _json_int(provenance["seed"], "provenance seed")
+        if not (isinstance(provenance["graph"], str) and isinstance(provenance["selector"], str)):
+            raise InvariantError(f"{path}: provenance graph and selector must be strings")
         base_spec = _spec_from_json(info["base_spec"])
         base = Network(base_spec, _params_from_tensors("base", base_spec, tensors))
         lda = LdaModel(
@@ -732,7 +731,7 @@ def load_bundle(path) -> ModelBundle:
         for i, spec_obj in enumerate(info["subset_specs"]):
             spec_i = _spec_from_json(spec_obj)
             nets.append(Network(spec_i, _params_from_tensors(f"subset/{i}", spec_i, tensors)))
-        ensemble = SubsetEnsemble(k=k, nets=tuple(nets), tap=Tap(info["tap"]))
+        ensemble = SubsetEnsemble(k=k, nets=tuple(nets))
         if info["selector"] == "network":
             spec_s = _spec_from_json(info["selector_spec"])
             ensemble.selector = NetSelector(

@@ -59,15 +59,16 @@ Selector = CentroidSelector | NetSelector
 
 @dataclass
 class SubsetEnsemble:
+    """k subset nets, each contributing its Tap.FC_PENULTIMATE feature, and the selector."""
+
     k: int
     nets: tuple[Network, ...]
-    tap: Tap = Tap.FC_PENULTIMATE
     selector: Selector | None = None
 
     def validate(self, class_counts: tuple[int, ...] | None = None) -> None:
         if self.k != len(self.nets) or self.k < 1:
             raise ContractError("ensemble must hold exactly k nets")
-        dims = {net.spec.tap_dim(self.tap) for net in self.nets}
+        dims = {net.spec.tap_dim(Tap.FC_PENULTIMATE) for net in self.nets}
         if len(dims) != 1:
             raise ContractError("all subset nets must share the tap dimensionality")
         if class_counts is not None:
@@ -81,7 +82,7 @@ class SubsetEnsemble:
 
     @property
     def feature_dim(self) -> int:
-        return self.nets[0].spec.tap_dim(self.tap)
+        return self.nets[0].spec.tap_dim(Tap.FC_PENULTIMATE)
 
 
 def build_partition(cmap: ClassClusterMap, labels) -> SubsetPartition:
@@ -198,5 +199,5 @@ def extract_subset_features(ensemble: SubsetEnsemble, images: np.ndarray, chosen
     for j, net in enumerate(ensemble.nets):
         rows = np.flatnonzero(chosen == j)
         if rows.size:
-            feats[rows, j] = net.forward(images[rows], ensemble.tap)
+            feats[rows, j] = net.forward(images[rows], Tap.FC_PENULTIMATE)
     return feats

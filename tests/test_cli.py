@@ -1,3 +1,5 @@
+import configparser
+import dataclasses
 import json
 import struct
 import zlib
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from subsetlearn import cli, cluster, container, pipeline
-from subsetlearn.config import parse_config
+from subsetlearn.config import _KEYS, RunConfig, parse_config
 from subsetlearn.convnet import TrainConfig
 from subsetlearn.errors import ConfigError
 from subsetlearn.numkit import derive_seed
@@ -69,6 +71,41 @@ batch_size = 8
 
 [svm]
 epochs = 10
+"""
+
+# Every key of the fixed sections, each set off its default.
+ALL_KEYS_CONFIG = """
+[run]
+seeds = 1
+k = 3
+selector = centroid
+
+[dataset.target]
+n_groups = 2
+
+[train]
+learning_rate = 0.01
+momentum = 0.5
+weight_decay = 0.002
+batch_size = 9
+epochs = 4
+lr_step_factor = 0.5
+lr_step_every = 11
+
+[subset]
+epochs = 5
+learning_rate = 0.003
+
+[selector]
+epochs = 6
+
+[svm]
+lambda = 0.04
+epochs = 7
+
+[cluster]
+lda_out_dim = 2
+restarts = 8
 """
 
 
@@ -260,6 +297,9 @@ class TestEval:
             ("bundle-seed3.sfl", "lda_out_dim", 3.0),
             ("bundle-seed3.sfl", "kmeans_seed", 1.5),
             ("bundle-seed3.sfl", "svm_checkpoint_epochs", [1.0]),
+            ("bundle-seed3.sfl", "provenance", {"graph": "target-rt", "steps": 1, "seed": "abc", "k": 2,
+                                                "selector": "network"}),
+            ("bundle-seed3.sfl", "tap", "conv_last"),
         ],
     )
     def test_malformed_description_exit_3(self, run_cli, tmp_path, config_file, which, key, value):
@@ -358,6 +398,9 @@ class TestConfigParsing:
             ("svm", "lamda"),
             ("cluster", "restart"),
             ("graph", "stage"),
+            ("train", "momentun"),
+            ("train", "lr_schedule"),
+            ("run", "seed"),
         ],
     )
     def test_unknown_section_key_rejected(self, tmp_path, section, key):
@@ -442,6 +485,35 @@ class TestConfigParsing:
         cfg = parse_config(path)
         for seed in cfg.seeds:
             assert cfg.system_config(seed) == SystemConfig(train=TrainConfig(seed=seed))
+
+    def test_every_key_sets_its_field(self, tmp_path):
+        path = tmp_path / "all.ini"
+        path.write_text(ALL_KEYS_CONFIG)
+        parser = configparser.ConfigParser()
+        parser.read_string(ALL_KEYS_CONFIG)
+        written = {(s, key) for s in parser.sections() for key in parser[s] if not s.startswith("dataset.")}
+        assert written - {("run", "seeds")} == {key for key, (owner, _, _) in _KEYS.items() if owner is not RunConfig}
+        expected = SystemConfig(
+            k=3,
+            selector="centroid",
+            train=TrainConfig(
+                learning_rate=0.01, momentum=0.5, weight_decay=0.002, batch_size=9, epochs=4,
+                lr_step_factor=0.5, lr_step_every=11,
+            ),
+            subset_epochs=5,
+            subset_lr=0.003,
+            selector_epochs=6,
+            svm_lambda=0.04,
+            svm_epochs=7,
+            lda_out_dim=2,
+            kmeans_restarts=8,
+        )
+        assert parse_config(path).system == expected
+        # every field with a key is off its default, so a key that set nothing would show
+        for got, default in ((expected, SystemConfig()), (expected.train, TrainConfig())):
+            for f in dataclasses.fields(got):
+                if f.name not in ("seed", "freeze_below"):
+                    assert getattr(got, f.name) != getattr(default, f.name), f.name
 
     def test_build_and_cluster_report_share_lda_out_dim(self, tmp_path, monkeypatch):
         out_dims = []

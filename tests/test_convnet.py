@@ -522,15 +522,18 @@ class TestReinitHead:
 
 class TestTrainConfig:
     def test_validation(self):
+        for bad in ({"momentum": 1.0}, {"lr_step_factor": 0.0}, {"lr_step_every": 0}, {"epochs": 0}):
+            with pytest.raises(ContractError):
+                TrainConfig(**bad)
         with pytest.raises(ContractError):
-            TrainConfig(momentum=1.0).validate()
-        with pytest.raises(ContractError):
-            TrainConfig(lr_schedule="exp").validate()
-        TrainConfig().validate()
+            TrainConfig().for_run(1, epochs=0)  # a derived config is checked too
+        TrainConfig()
 
     def test_step_schedule(self):
-        cfg = TrainConfig(learning_rate=1.0, lr_schedule="step", lr_step_factor=0.1, lr_step_every=2)
+        cfg = TrainConfig(learning_rate=1.0, lr_step_factor=0.1, lr_step_every=2)
         assert [cfg.lr_at(e) for e in range(5)] == [1.0, 1.0, 0.1, 0.1, 0.010000000000000002]
+        constant = TrainConfig(learning_rate=0.05, lr_step_factor=1, lr_step_every=1)
+        assert [constant.lr_at(e) for e in range(100)] == [0.05] * 100
 
     def test_finetune_config_policy(self):
         cfg = TrainConfig(learning_rate=0.05, epochs=30)

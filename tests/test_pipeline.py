@@ -270,11 +270,11 @@ class TestStageGraph:
 
     def test_invalid_graphs(self):
         with pytest.raises(ContractError):
-            StageGraph((StageSpec("a", "ft"),)).validate()
+            StageGraph((StageSpec("a", "ft"),))
         with pytest.raises(ContractError):
-            StageGraph((StageSpec("a", "rt"), StageSpec("b", "rt"))).validate()
+            StageGraph((StageSpec("a", "rt"), StageSpec("b", "rt")))
         with pytest.raises(ContractError):
-            StageGraph(()).validate()
+            StageGraph(())
 
     def test_missing_dataset(self):
         with pytest.raises(ContractError):
@@ -476,7 +476,7 @@ def all_k_reference(bundle, images, chosen=None):
     base = bundle.base.forward(images, Tap.FC_PENULTIMATE)
     if chosen is None:
         chosen = subset.select_batch(bundle.ensemble.selector, images, base)
-    every = np.stack([net.forward(images, bundle.ensemble.tap) for net in bundle.ensemble.nets], axis=1)
+    every = np.stack([net.forward(images, Tap.FC_PENULTIMATE) for net in bundle.ensemble.nets], axis=1)
     return fusion.fuse_batch(base, every, chosen)
 
 

@@ -262,10 +262,10 @@ class TestExtractSubsetFeatures:
         assert feats.shape == (6, 2, ensemble.feature_dim)
         for k, net in enumerate(ensemble.nets):
             mine = chosen == k
-            assert np.array_equal(feats[mine, k, :], net.forward(images[:6][mine], ensemble.tap))
+            assert np.array_equal(feats[mine, k, :], net.forward(images[:6][mine], Tap.FC_PENULTIMATE))
             assert not feats[~mine, k, :].any()
             # a row's features do not depend on which other rows share its batch
-            dense = net.forward(images[:6], ensemble.tap)
+            dense = net.forward(images[:6], Tap.FC_PENULTIMATE)
             assert np.abs(feats[mine, k, :] - dense[mine]).max() <= 1e-12
 
     def test_each_net_runs_only_on_its_rows(self, toy_data, ensemble, monkeypatch):
