@@ -119,7 +119,10 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file {path} does not exist")
-    parser = configparser.ConfigParser()
+    # A section header cannot span lines, so no file can name this default
+    # section: a [DEFAULT] section is then an unknown section like any other,
+    # instead of copying its keys into every section.
+    parser = configparser.ConfigParser(default_section="\n")
     try:
         parser.read(path)
     except configparser.Error as exc:

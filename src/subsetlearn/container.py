@@ -12,7 +12,10 @@ Layout:
     u32 CRC32 of everything above
 
 Writes go to a temp file in the target directory followed by an atomic
-rename, so failed runs never leave partial files behind.
+rename, so failed runs never leave partial files behind.  Reads and writes
+stream: each payload moves between the file and its array's own memory, and
+the CRC32 is accumulated piece by piece, so no copy of the whole file is
+ever held.
 """
 
 from __future__ import annotations
@@ -40,29 +43,63 @@ _MIN_LEN = len(MAGIC) + 4 + 4 + 4 + 4  # header fields plus trailing crc
 
 
 def write_container(path, tensors: dict[str, np.ndarray], metadata: str = "") -> None:
-    """Serialize tensors (in dict order) and metadata to path, atomically."""
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", VERSION)
+    """Serialize tensors (in dict order) and metadata to path, atomically.
+
+    Every tensor is checked before the temp file is opened.  The file is
+    written piece by piece, each payload straight from its array's memory.
+    """
     meta = metadata.encode("utf-8")
-    blob += struct.pack("<I", len(meta))
-    blob += meta
-    blob += struct.pack("<I", len(tensors))
+    pieces = [MAGIC + struct.pack("<II", VERSION, len(meta)) + meta + struct.pack("<I", len(tensors))]
     for name, array in tensors.items():
-        arr = np.asarray(array, dtype=np.float64)  # 0-d arrays stay 0-d
+        arr = np.require(array, dtype="<f8", requirements="C")  # 0-d arrays stay 0-d
         if not np.all(np.isfinite(arr)):
             raise ContractError(f"tensor {name!r} contains non-finite values")
         name_b = name.encode("utf-8")
         if len(name_b) > 0xFFFF:
             raise ContractError(f"tensor name too long: {name!r}")
-        blob += struct.pack("<H", len(name_b))
-        blob += name_b
-        blob += struct.pack("<B", arr.ndim)
-        for extent in arr.shape:
-            blob += struct.pack("<Q", extent)
-        blob += arr.tobytes(order="C")
-    blob += struct.pack("<I", zlib.crc32(bytes(blob)))
-    atomic_write_bytes(path, bytes(blob))
+        pieces.append(struct.pack(f"<H{len(name_b)}sB{arr.ndim}Q", len(name_b), name_b, arr.ndim, *arr.shape))
+        pieces.append(memoryview(arr.reshape(-1)).cast("B"))
+    crc = 0
+    for piece in pieces:
+        crc = zlib.crc32(piece, crc)
+    pieces.append(struct.pack("<I", crc))
+    _atomic_write(path, pieces)
+
+
+class _Body:
+    """Sequential reads of a container body (the bytes between the version
+    word and the trailing CRC) that extend the CRC32 of the bytes read."""
+
+    def __init__(self, handle, path, length: int, crc: int):
+        self.handle, self.path, self.left, self.crc = handle, path, length, crc
+
+    def read_into(self, view: memoryview, what: str = "malformed container body") -> None:
+        if view.nbytes > self.left:
+            raise InvariantError(f"{self.path}: {what}")
+        self.left -= view.nbytes
+        while view.nbytes:
+            got = self.handle.readinto(view)
+            if not got:  # the file shrank while being read
+                raise ChecksumError(f"{self.path}: file is truncated")
+            self.crc = zlib.crc32(view[:got], self.crc)
+            view = view[got:]
+
+    def read(self, size: int, what: str = "malformed container body") -> bytearray:
+        if size > self.left:  # before the buffer is allocated and zeroed
+            raise InvariantError(f"{self.path}: {what}")
+        buf = bytearray(size)
+        self.read_into(memoryview(buf), what)
+        return buf
+
+    def unpack(self, fmt: str):
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+
+    def finish(self) -> None:
+        """Read the rest of the body and check it against the stored CRC."""
+        while self.left:
+            self.read(min(self.left, 1 << 20))
+        if self.handle.read(4) != struct.pack("<I", self.crc):
+            raise ChecksumError(f"{self.path}: checksum mismatch") from None
 
 
 def read_container(path) -> tuple[dict[str, np.ndarray], str]:
@@ -70,70 +107,62 @@ def read_container(path) -> tuple[dict[str, np.ndarray], str]:
 
     Raises BadMagicError / VersionMismatchError / ChecksumError for corrupt
     files and InvariantError when a structurally intact file violates the
-    format's invariants (for example non-finite payloads).
+    format's invariants (for example non-finite payloads).  The file is read
+    once: each payload goes straight into its array, and a body that fails
+    to parse is still read to the end, so a bad checksum wins over it.
     """
-    data = Path(path).read_bytes()
-    if len(data) < _MIN_LEN:
-        raise ChecksumError(f"{path}: file is truncated")
-    if data[:4] != MAGIC:
-        raise BadMagicError(f"{path}: not a container file")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != VERSION:
-        raise VersionMismatchError(f"{path}: unsupported format version {version}")
-    (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
-    if zlib.crc32(data[:-4]) != stored_crc:
-        raise ChecksumError(f"{path}: checksum mismatch")
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        if size < _MIN_LEN:
+            raise ChecksumError(f"{path}: file is truncated")
+        head = handle.read(8)
+        if head[:4] != MAGIC:
+            raise BadMagicError(f"{path}: not a container file")
+        (version,) = struct.unpack_from("<I", head, 4)
+        if version != VERSION:
+            raise VersionMismatchError(f"{path}: unsupported format version {version}")
+        body = _Body(handle, path, size - len(head) - 4, zlib.crc32(head))
+        try:
+            parsed = _read_tensors(body, path)
+        except InvariantError:
+            body.finish()
+            raise
+        body.finish()
+    return parsed
 
-    body_end = len(data) - 4
-    cursor = 8
 
-    def take(fmt: str):
-        nonlocal cursor
-        size = struct.calcsize(fmt)
-        if cursor + size > body_end:
-            raise InvariantError(f"{path}: malformed container body")
-        values = struct.unpack_from(fmt, data, cursor)
-        cursor += size
-        return values
-
-    (meta_len,) = take("<I")
-    if cursor + meta_len > body_end:
-        raise InvariantError(f"{path}: malformed metadata block")
+def _read_tensors(body: _Body, path) -> tuple[dict[str, np.ndarray], str]:
+    (meta_len,) = body.unpack("<I")
     try:
-        metadata = data[cursor : cursor + meta_len].decode("utf-8")
+        metadata = body.read(meta_len, "malformed metadata block").decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InvariantError(f"{path}: metadata is not valid UTF-8") from exc
-    cursor += meta_len
-    (count,) = take("<I")
+    (count,) = body.unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = take("<H")
-        if cursor + name_len > body_end:
-            raise InvariantError(f"{path}: malformed tensor name")
+        (name_len,) = body.unpack("<H")
         try:
-            name = data[cursor : cursor + name_len].decode("utf-8")
+            name = body.read(name_len, "malformed tensor name").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise InvariantError(f"{path}: tensor name is not valid UTF-8") from exc
-        cursor += name_len
-        (rank,) = take("<B")
-        shape = tuple(take("<Q")[0] for _ in range(rank))
+        (rank,) = body.unpack("<B")
+        shape = body.unpack(f"<{rank}Q")
         n_values = 1
         for extent in shape:
             n_values *= extent
-        size = 8 * n_values
-        if cursor + size > body_end:
+        if 8 * n_values > body.left:  # before the array is allocated
             raise InvariantError(f"{path}: tensor payload overruns the file")
-        try:  # reshape rejects over 64 axes, and an empty shape with extents past intp
-            arr = np.frombuffer(data, dtype="<f8", count=n_values, offset=cursor).reshape(shape).copy()
+        try:  # numpy rejects over 64 axes, and an empty shape with extents past intp
+            arr = np.empty(shape, dtype="<f8")
         except ValueError as exc:
             raise InvariantError(f"{path}: tensor {name!r} cannot have shape {shape}") from exc
-        cursor += size
+        body.read_into(memoryview(arr.reshape(-1)).cast("B"))
         if not np.all(np.isfinite(arr)):
             raise InvariantError(f"{path}: tensor {name!r} contains non-finite values")
         if name in tensors:
             raise InvariantError(f"{path}: duplicate tensor name {name!r}")
         tensors[name] = arr
-    if cursor != body_end:
+    if body.left:
         raise InvariantError(f"{path}: trailing bytes after the tensor table")
     return tensors, metadata
 
@@ -146,25 +175,32 @@ def container_checksum(path) -> int:
     would be useless here, because a file that embeds its own CRC32 always
     hashes to the same residue constant.
     """
-    data = Path(path).read_bytes()
-    if len(data) < _MIN_LEN:
-        raise ChecksumError(f"{path}: file is truncated")
-    (stored,) = struct.unpack_from("<I", data, len(data) - 4)
+    with open(path, "rb") as handle:
+        if handle.seek(0, os.SEEK_END) < _MIN_LEN:
+            raise ChecksumError(f"{path}: file is truncated")
+        handle.seek(-4, os.SEEK_END)
+        (stored,) = struct.unpack("<I", handle.read(4))
     return stored
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
+def _atomic_write(path, pieces) -> None:
+    """Write the pieces to a temp file beside path, then rename it over path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            for piece in pieces:
+                handle.write(piece)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path, payload: bytes) -> None:
+    _atomic_write(path, (payload,))
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -393,8 +393,7 @@ class ModelBundle:
             self.ensemble.validate()
             if self.ensemble.selector is None:
                 raise ContractError("bundle requires a trained selector")
-            fused = base_dim + self.ensemble.k * self.ensemble.feature_dim
-            if self.svm.weights.shape[1] != fused:
+            if self.svm.weights.shape[1] != fused_width(self.base, self.ensemble):
                 raise ContractError("svm width does not match the fused feature width")
             if self.svm.weights.shape[0] != self.cluster_map.class_to_subset.size:
                 raise ContractError("svm class count does not match the cluster map")
@@ -443,27 +442,36 @@ def precluster(config: SystemConfig, feats: np.ndarray, labels, tap: Tap | str, 
     )
 
 
+def fused_width(bundle_base: Network, ensemble: SubsetEnsemble) -> int:
+    """Width of a fused feature row: the base feature, then K subset blocks
+    (the layout of fusion.fuse_batch)."""
+    return bundle_base.spec.tap_dim(Tap.FC_PENULTIMATE) + ensemble.k * ensemble.feature_dim
+
+
 def fuse_dataset_features(
     bundle_base: Network,
     ensemble: SubsetEnsemble,
     images: np.ndarray,
+    rows: np.ndarray,
 ) -> np.ndarray:
     """Base feature + the ensemble selector's choice + the chosen subset
-    net's feature, fused per image.
+    net's feature, fused per image, for images[rows].
 
-    Per chunk of FORWARD_CHUNK images the selector routes first, then each subset
-    net runs only on the images routed to it: every image passes through the
-    base net, the selector (a network selector's own net; the centroid
-    selector reuses the base feature) and exactly one subset net.
+    Per chunk of FORWARD_CHUNK rows the chunk's images are gathered, the
+    selector routes first, then each subset net runs only on the images
+    routed to it: every image passes through the base net, the selector (a
+    network selector's own net; the centroid selector reuses the base
+    feature) and exactly one subset net.  Each fused chunk is written into
+    one (len(rows), D) matrix, so the selected images are never held whole.
     """
-    parts = []
-    for i in range(0, images.shape[0], FORWARD_CHUNK):
-        chunk = images[i : i + FORWARD_CHUNK]
+    fused = np.empty((rows.size, fused_width(bundle_base, ensemble)))
+    for i in range(0, rows.size, FORWARD_CHUNK):
+        chunk = images[rows[i : i + FORWARD_CHUNK]]
         base_feats = bundle_base.forward(chunk, Tap.FC_PENULTIMATE)
         chosen = subset.select_batch(ensemble.selector, chunk, base_feats)
         subset_feats = subset.extract_subset_features(ensemble, chunk, chosen)
-        parts.append(fusion.fuse_batch(base_feats, subset_feats, chosen))
-    return np.concatenate(parts, axis=0)
+        fused[i : i + chunk.shape[0]] = fusion.fuse_batch(base_feats, subset_feats, chosen)
+    return fused
 
 
 def build_system(
@@ -514,7 +522,7 @@ def build_system(
     else:
         ensemble.selector = CentroidSelector(kmeans=kmeans, lda=lda)
 
-    fused = fuse_dataset_features(base, ensemble, images)
+    fused = fuse_dataset_features(base, ensemble, target.images, rows)
     svm = fusion.svm_train(fused, labels, lam=config.svm_lambda, epochs=config.svm_epochs)
     bundle = ModelBundle(
         base=base,
@@ -542,7 +550,7 @@ def evaluate(bundle: ModelBundle, dataset: DatasetHandle, split: str = "test") -
             f"bundle has {bundle.svm.weights.shape[0]} classes, dataset has {dataset.n_classes}"
         )
     rows = dataset.rows(split)
-    fused = fuse_dataset_features(bundle.base, bundle.ensemble, dataset.images[rows])
+    fused = fuse_dataset_features(bundle.base, bundle.ensemble, dataset.images, rows)
     preds, _ = fusion.svm_predict_batch(bundle.svm, fused)
     return metrics_from_predictions(dataset.labels[rows], preds, dataset.n_classes)
 
@@ -585,6 +593,17 @@ def _json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ContractError(f"{what} must be a JSON integer, got {value!r}")
     return value
+
+
+def _int_tensor(path, tensors: dict, name: str, dtype) -> np.ndarray:
+    """A stored float64 tensor as dtype; every value must be an exact integer
+    in dtype's range."""
+    values = tensors[name]
+    with np.errstate(invalid="ignore"):  # out-of-range casts are caught below
+        ints = values.astype(dtype)
+    if not np.array_equal(ints, values):
+        raise InvariantError(f"{path}: tensor {name!r} must hold {np.dtype(dtype).name} integers")
+    return ints
 
 
 def _params_to_tensors(prefix: str, params: NetParams, out: dict) -> None:
@@ -642,8 +661,8 @@ def load_dataset(path) -> DatasetHandle:
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise InvariantError(f"{path}: class_names must be a JSON list of strings")
         images = tensors["images"]
-        labels = np.rint(tensors["labels"]).astype(np.int64)
-        split = np.rint(tensors["splits"]).astype(np.uint8)
+        labels = _int_tensor(path, tensors, "labels", np.int64)
+        split = _int_tensor(path, tensors, "splits", np.uint8)
         return DatasetHandle(
             images=images, labels=labels, split=split, class_names=tuple(names), generator=info.get("generator")
         )
@@ -718,7 +737,7 @@ def load_bundle(path) -> ModelBundle:
             eigenvalues=tensors["lda/eigenvalues"],
         )
         cmap = ClassClusterMap(
-            class_to_subset=np.rint(tensors["cluster/class_to_subset"]).astype(np.int64),
+            class_to_subset=_int_tensor(path, tensors, "cluster/class_to_subset", np.int64),
             k=k,
         )
         kmeans = KMeansModel(

@@ -409,7 +409,9 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"\\[{section}\\] unknown key '{key}'"):
             parse_config(path)
 
-    @pytest.mark.parametrize("section", ["svms", "Run", "training", "dataset", "datasets.extra", "graph.extra"])
+    @pytest.mark.parametrize(
+        "section", ["svms", "Run", "training", "dataset", "datasets.extra", "graph.extra", "DEFAULT"]
+    )
     def test_unknown_section_rejected(self, tmp_path, section):
         path = tmp_path / "run.ini"
         path.write_text(with_entry(section, "lambda = 0"))

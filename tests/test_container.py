@@ -1,4 +1,6 @@
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -126,9 +128,82 @@ class TestWriteValidation:
         body += struct.pack("<H", len(name)) + name
         body += struct.pack("<B", 1) + struct.pack("<Q", 1)
         body += struct.pack("<d", float("nan"))
-        import zlib
-
         body += struct.pack("<I", zlib.crc32(bytes(body)))
         path.write_bytes(bytes(body))
         with pytest.raises(InvariantError):
             container.read_container(path)
+
+
+def payload_offset(data: bytes, name: str) -> int:
+    """Offset of the first payload byte of a rank-2 tensor called name."""
+    return data.index(name.encode()) + len(name) + 1 + 2 * 8
+
+
+class TestStreamedPayloads:
+    def test_nan_edit_is_checksum_error_unless_the_crc_is_fixed(self, sample):
+        path, _ = sample
+        data = bytearray(path.read_bytes())
+        at = payload_offset(data, "alpha")
+        data[at : at + 8] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(data))
+        with pytest.raises(ChecksumError):
+            container.read_container(path)
+        data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])))
+        path.write_bytes(bytes(data))
+        with pytest.raises(InvariantError, match="non-finite"):
+            container.read_container(path)
+
+    def test_huge_metadata_length_is_rejected_before_allocation(self, sample):
+        path, _ = sample
+        data = bytearray(path.read_bytes())
+        data[8:12] = struct.pack("<I", 0xFFFFFFFF)
+        path.write_bytes(bytes(data))
+        assert traced_peak(lambda: pytest.raises(ChecksumError, container.read_container, path)) < 2 * MIB
+        data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])))
+        path.write_bytes(bytes(data))
+        assert traced_peak(lambda: pytest.raises(InvariantError, container.read_container, path)) < 2 * MIB
+        with pytest.raises(InvariantError, match="metadata"):
+            container.read_container(path)
+
+    def test_truncated_inside_a_payload(self, sample):
+        path, _ = sample
+        data = path.read_bytes()
+        path.write_bytes(data[: payload_offset(data, "alpha") + 12])
+        with pytest.raises(ChecksumError):
+            container.read_container(path)
+
+    def test_checksum_is_the_trailing_word(self, sample, tmp_path):
+        path, _ = sample
+        assert container.container_checksum(path) == struct.unpack("<I", path.read_bytes()[-4:])[0]
+        tiny = tmp_path / "tiny.sfl"
+        tiny.write_bytes(path.read_bytes()[: container._MIN_LEN - 1])
+        with pytest.raises(ChecksumError):
+            container.container_checksum(tiny)
+
+
+N_BYTES = 8 << 20
+MIB = 1 << 20
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that fn allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """Reads and writes stream, so neither holds a second copy of the file."""
+
+    def test_read_holds_the_payload_once(self, tmp_path):
+        path = tmp_path / "big.sfl"
+        container.write_container(path, {"x": np.ones(N_BYTES // 8)}, "")
+        assert traced_peak(lambda: container.read_container(path)) < 1.25 * N_BYTES + MIB
+
+    def test_write_copies_no_payload(self, tmp_path):
+        tensors = {"x": np.ones(N_BYTES // 8)}
+        peak = traced_peak(lambda: container.write_container(tmp_path / "big.sfl", tensors, ""))
+        assert peak < 0.25 * N_BYTES + MIB

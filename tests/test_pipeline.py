@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -502,8 +503,9 @@ class TestRoutedInference:
     def test_matches_all_k_reference(self, request, which):
         ds, bundle = request.getfixturevalue(which)
         for split in ("train", "test"):
-            images = ds.images[ds.rows(split)]
-            fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, images)
+            rows = ds.rows(split)
+            images = ds.images[rows]
+            fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, ds.images, rows)
             ref = all_k_reference(bundle, images)
             assert fused.shape == ref.shape
             assert np.abs(fused - ref).max() <= 1e-12
@@ -547,7 +549,7 @@ class TestRoutedInference:
             return designed[images.shape[0]]
 
         monkeypatch.setattr(subset, "select_batch", routed)
-        fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, data.images)
+        fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, data.images, data.rows("test"))
         ref = all_k_reference(bundle, data.images, np.concatenate([designed[full], designed[4]]))
         assert np.abs(fused - ref).max() <= 1e-12
         assert np.array_equal(fusion.svm_predict_batch(bundle.svm, fused)[0],
@@ -558,6 +560,25 @@ class TestRoutedInference:
             ("base", full), ("selector", full), ("subset0", full - 1), ("subset1", 1),
             ("base", 4), ("selector", 4), ("subset0", 4),
         ]
+
+
+    def test_evaluate_holds_one_chunk_of_images(self, tiny_bundle):
+        # 2,400 test images take 14 MiB: a copy of the split would not fit
+        ds, bundle = tiny_bundle
+        te = np.resize(ds.rows("test"), 2400)
+        data = pipeline.DatasetHandle(
+            images=ds.images[te], labels=ds.labels[te], split=np.full(te.size, pipeline.TEST, np.uint8),
+            class_names=ds.class_names,
+        )
+        fused_bytes = 8 * te.size * bundle.svm.weights.shape[1]
+        tracemalloc.start()
+        try:
+            evaluate(bundle, data, "test")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.images.nbytes > 8 << 20
+        assert peak < fused_bytes + (8 << 20)
 
 
 class TestPersistence:
@@ -641,6 +662,35 @@ class TestPersistence:
         path = tmp_path / "ds.sfl"
         save_dataset(path, ds)
         with pytest.raises(InvariantError):
+            load_bundle(path)
+
+    @pytest.mark.parametrize(
+        "name,edit",
+        [
+            ("labels", lambda v: v + 0.4),
+            ("labels", lambda v: v - 0.4),
+            ("splits", lambda v: 0.3 + 0.5 * v),  # 0 -> 0.3, 1 -> 0.8
+            ("splits", lambda v: v + 256),
+        ],
+        ids=["labels+0.4", "labels-0.4", "splits-0.3-0.8", "splits+256"],
+    )
+    def test_dataset_integer_tensors_must_be_exact(self, tmp_path, name, edit):
+        path = tmp_path / "ds.sfl"
+        save_dataset(path, generate_synthetic(**TINY))
+        tensors, meta = pipeline.container.read_container(path)
+        tensors[name] = edit(tensors[name])
+        pipeline.container.write_container(path, tensors, meta)
+        with pytest.raises(InvariantError, match=name):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("edit", [lambda v: v + 0.4, lambda v: v - 0.3], ids=["+0.4", "-0.3"])
+    def test_bundle_class_to_subset_must_be_exact(self, tmp_path, tiny_bundle, edit):
+        path = tmp_path / "b.sfl"
+        save_bundle(path, tiny_bundle[1])
+        tensors, meta = pipeline.container.read_container(path)
+        tensors["cluster/class_to_subset"] = edit(tensors["cluster/class_to_subset"])
+        pipeline.container.write_container(path, tensors, meta)
+        with pytest.raises(InvariantError, match="class_to_subset"):
             load_bundle(path)
 
     @pytest.mark.parametrize("meta", ["[]", "null", "3", '"bundle"'])
