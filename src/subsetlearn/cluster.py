@@ -48,7 +48,9 @@ class ClassClusterMap:
     k: int
 
     def __post_init__(self):
-        m = np.asarray(self.class_to_subset, dtype=np.int64)
+        m = numkit.exact_ints(self.class_to_subset)
+        if m is None:
+            raise ContractError("subset indices must be integers")
         object.__setattr__(self, "class_to_subset", m)
         if m.ndim != 1 or m.size == 0:
             raise ShapeError("class_to_subset must be a nonempty 1-d array")

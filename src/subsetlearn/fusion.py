@@ -90,9 +90,17 @@ def svm_train(
     prefix average seen so far (the zero model counts as the t=0 candidate),
     which makes the per-class objective non-increasing over checkpoints and
     never worse than the zero model.  The solver draws no random numbers.
+
+    An epoch costs two products with the features.  With ``fit_bias`` the
+    bias is the weight of a constant-one feature row, kept out of the weight
+    decay, the projection and the regularizer.  The scores of iterate t are
+    the margins of epoch t + 1 and are summed, so the averaged iterate's
+    scores are that sum over t and need no product of their own.
     """
     features = numkit.as_matrix(features, "features")
-    labels = np.asarray(labels).astype(np.int64)
+    labels = numkit.exact_ints(labels)
+    if labels is None:
+        raise ContractError("labels must be integers")
     if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
         raise ShapeError("labels must be 1-d and match the feature rows")
     classes = np.unique(labels)
@@ -108,49 +116,55 @@ def svm_train(
         raise ContractError("lam must be positive")
     if epochs < 1:
         raise ContractError("epochs must be >= 1")
+    finite_rows = np.isfinite(features).all(axis=1)
+    if not finite_rows.all():
+        raise ContractError(f"features row {int(np.argmin(finite_rows))} is not finite")
 
-    y = np.where(labels[:, None] == np.arange(c)[None, :], 1.0, -1.0)  # (N, C)
-    w = np.zeros((c, d))
-    bias = np.zeros(c)
-    w_sum = np.zeros((c, d))
-    b_sum = np.zeros(c)
-    radius = 1.0 / np.sqrt(lam)
-
-    best_w = np.zeros((c, d))
-    best_b = np.zeros(c)
+    rows = np.ones((d + int(fit_bias), n))  # features transposed, plus the bias row
+    rows[:d] = features.T
+    regularized = np.zeros(rows.shape[0])  # 1 for a weight, 0 for the bias
+    regularized[:d] = 1.0
+    y = np.where(labels == np.arange(c)[:, None], 1.0, -1.0)  # (C, N)
+    w = np.zeros((c, rows.shape[0]))
+    weights = w[:, :d]  # the view of w that is decayed and projected
+    w_sum = np.zeros_like(w)
+    best = np.zeros_like(w)
+    squares = np.empty_like(w)
     best_obj = np.full(c, 1.0)  # objective of the zero model: mean hinge is exactly 1
+    margins = np.zeros((c, n))  # y * scores of the current iterate
+    margin_sum = np.zeros((c, n))  # y * scores summed over iterates 1..t
+    work = np.empty((c, n))
+    radius_sq = 1.0 / lam  # the projection radius 1/sqrt(lam), squared
 
     checkpoints = tuple(sorted({1, max(1, epochs // 2), epochs}))
     recorded = np.zeros((len(checkpoints), c))
     for t in range(1, epochs + 1):
         eta = 1.0 / (1.0 + lam * t)
-        margins = y * (features @ w.T + bias)  # (N, C)
-        viol = (margins < 1.0).astype(np.float64)
-        grad_w = lam * w - ((y * viol).T @ features) / n
-        w = w - eta * grad_w
-        norms = np.sqrt((w * w).sum(axis=1))
-        over = norms > radius
-        if np.any(over):
-            w[over] *= (radius / norms[over])[:, None]
-        if fit_bias:
-            bias = bias + eta * (y * viol).sum(axis=0) / n
+        np.less(margins, 1.0, out=work)
+        work *= y  # y where the hinge is active, else 0
+        weights *= 1.0 - eta * lam
+        w += (eta / n) * (work @ rows.T)
+        sq_norms = np.square(w, out=squares) @ regularized
+        over = sq_norms > radius_sq
+        if over.any():
+            weights[over] *= np.sqrt(radius_sq / sq_norms[over])[:, None]
         w_sum += w
-        b_sum += bias
-        avg_w = w_sum / t
-        avg_b = b_sum / t
-        avg_margins = y * (features @ avg_w.T + avg_b)
-        hinge = np.maximum(0.0, 1.0 - avg_margins).mean(axis=0)
-        obj = hinge + 0.5 * lam * (avg_w * avg_w).sum(axis=1)
+        np.matmul(w, rows, out=margins)
+        margins *= y
+        margin_sum += margins
+        np.subtract(t, margin_sum, out=work)  # t * (1 - margin of the averaged iterate)
+        np.maximum(work, 0.0, out=work)
+        avg_sq_norms = np.square(w_sum, out=squares) @ regularized / (t * t)
+        obj = work.sum(axis=1) / (n * t) + 0.5 * lam * avg_sq_norms
         better = obj < best_obj
-        if np.any(better):
+        if better.any():
             best_obj = np.where(better, obj, best_obj)
-            best_w[better] = avg_w[better]
-            best_b[better] = avg_b[better]
+            np.divide(w_sum, t, out=best, where=better[:, None])
         if t in checkpoints:
             recorded[checkpoints.index(t)] = best_obj
     return SvmModel(
-        weights=best_w,
-        biases=best_b,
+        weights=best[:, :d].copy(),
+        biases=best[:, d].copy() if fit_bias else np.zeros(c),
         lam=float(lam),
         checkpoint_epochs=checkpoints,
         checkpoint_objectives=recorded,

@@ -74,6 +74,17 @@ def as_matrix(a, name: str = "a") -> np.ndarray:
     return arr
 
 
+def exact_ints(a, dtype=np.int64) -> np.ndarray | None:
+    """a as dtype when every value is an exact integer in dtype's range, else
+    None (a fractional, non-finite, out-of-range or non-numeric value)."""
+    values = np.asarray(a)
+    if values.dtype.kind not in "biuf":
+        return None
+    with np.errstate(invalid="ignore"):  # out-of-range casts are caught below
+        ints = values.astype(dtype, copy=False)
+    return ints if np.array_equal(ints, values) else None
+
+
 def _check_square_symmetric(a: np.ndarray, what: str) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} requires a square matrix, got {a.shape}")

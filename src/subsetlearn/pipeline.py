@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cluster as _cluster
-from . import container, convnet, fusion, subset
+from . import container, convnet, fusion, numkit, subset
 from .cluster import ClassClusterMap, KMeansModel, LdaModel
 from .convnet import NetParams, NetSpec, Network, Tap, TrainConfig
 from .errors import ContractError, InvariantError, ShapeError
@@ -42,6 +42,10 @@ class DatasetHandle:
         n = self.images.shape[0]
         if self.labels.shape != (n,) or self.split.shape != (n,):
             raise ShapeError("labels and split must align with images")
+        labels = numkit.exact_ints(self.labels)
+        if labels is None:
+            raise InvariantError("labels must be integers")
+        object.__setattr__(self, "labels", labels)
         if n and (self.labels.min() < 0 or self.labels.max() >= len(self.class_names)):
             raise InvariantError("labels must index class_names")
         if n and not np.all(np.isin(self.split, (TRAIN, TEST))):
@@ -598,10 +602,8 @@ def _json_int(value, what: str) -> int:
 def _int_tensor(path, tensors: dict, name: str, dtype) -> np.ndarray:
     """A stored float64 tensor as dtype; every value must be an exact integer
     in dtype's range."""
-    values = tensors[name]
-    with np.errstate(invalid="ignore"):  # out-of-range casts are caught below
-        ints = values.astype(dtype)
-    if not np.array_equal(ints, values):
+    ints = numkit.exact_ints(tensors[name], dtype)
+    if ints is None:
         raise InvariantError(f"{path}: tensor {name!r} must hold {np.dtype(dtype).name} integers")
     return ints
 

@@ -14,11 +14,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import subsetlearn
 from subsetlearn import pipeline
 
 PACKAGE_ROOT = str(Path(subsetlearn.__file__).resolve().parent.parent)
+
+# Property tests draw the same examples on every run (no example database, no
+# random seed) and stop after a fixed number, so tier-1 stays deterministic
+# and bounded in time.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=40)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

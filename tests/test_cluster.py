@@ -285,6 +285,11 @@ class TestPrecluster:
         with pytest.raises(ContractError):
             ClassClusterMap(class_to_subset=np.array([0, 0, 0]), k=2)
 
+    def test_map_rejects_fractional_indices(self):
+        with pytest.raises(ContractError, match="integers"):
+            ClassClusterMap(class_to_subset=np.array([0.0, 1.7, 0.2]), k=2)
+        assert ClassClusterMap(class_to_subset=np.array([0.0, 1.0, 0.0]), k=2).class_to_subset.tolist() == [0, 1, 0]
+
     def test_report_csv_row(self):
         report = cluster.TapReport(tap="conv_last", silhouette=0.5, cluster_sizes=(2, 1, 3))
         assert report.csv_row() == "conv_last,0.5,1,3"

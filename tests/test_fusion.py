@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from subsetlearn import fusion
 from subsetlearn.errors import ContractError, ShapeError
@@ -71,6 +73,74 @@ def blobs(rng, centers, n, spread=0.4):
     return x, y
 
 
+def reference_svm_train(features, labels, lam, epochs, fit_bias):
+    """Reference solver for ``TestSvmOracle``: the same algorithm with
+    row-major scores, a separate bias update and a third product for the
+    averaged iterate."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels).astype(np.int64)
+    c = np.unique(labels).size
+    n, d = features.shape
+
+    y = np.where(labels[:, None] == np.arange(c)[None, :], 1.0, -1.0)  # (N, C)
+    w = np.zeros((c, d))
+    bias = np.zeros(c)
+    w_sum = np.zeros((c, d))
+    b_sum = np.zeros(c)
+    radius = 1.0 / np.sqrt(lam)
+
+    best_w = np.zeros((c, d))
+    best_b = np.zeros(c)
+    best_obj = np.full(c, 1.0)  # objective of the zero model: mean hinge is exactly 1
+
+    checkpoints = tuple(sorted({1, max(1, epochs // 2), epochs}))
+    recorded = np.zeros((len(checkpoints), c))
+    for t in range(1, epochs + 1):
+        eta = 1.0 / (1.0 + lam * t)
+        margins = y * (features @ w.T + bias)  # (N, C)
+        viol = (margins < 1.0).astype(np.float64)
+        grad_w = lam * w - ((y * viol).T @ features) / n
+        w = w - eta * grad_w
+        norms = np.sqrt((w * w).sum(axis=1))
+        over = norms > radius
+        if np.any(over):
+            w[over] *= (radius / norms[over])[:, None]
+        if fit_bias:
+            bias = bias + eta * (y * viol).sum(axis=0) / n
+        w_sum += w
+        b_sum += bias
+        avg_w = w_sum / t
+        avg_b = b_sum / t
+        avg_margins = y * (features @ avg_w.T + avg_b)
+        hinge = np.maximum(0.0, 1.0 - avg_margins).mean(axis=0)
+        obj = hinge + 0.5 * lam * (avg_w * avg_w).sum(axis=1)
+        better = obj < best_obj
+        if np.any(better):
+            best_obj = np.where(better, obj, best_obj)
+            best_w[better] = avg_w[better]
+            best_b[better] = avg_b[better]
+        if t in checkpoints:
+            recorded[checkpoints.index(t)] = best_obj
+    return fusion.SvmModel(
+        weights=best_w,
+        biases=best_b,
+        lam=float(lam),
+        checkpoint_epochs=checkpoints,
+        checkpoint_objectives=recorded,
+    )
+
+
+def oracle_problem(seed, n, d, c, scale):
+    """n Gaussian rows of width d times scale; labels cover all c classes."""
+    rng = np.random.default_rng(seed)
+    return scale * rng.normal(size=(n, d)), rng.permutation(np.arange(n) % c)
+
+
+# problems whose first step leaves the ball of radius 1/sqrt(lam) at lam = 10
+# and feature scale 10, so the projection binds
+BINDING = (dict(seed=2, c=12, extra_rows=48, d=16), dict(seed=3, c=2, extra_rows=20, d=6))
+
+
 class TestSvmTrain:
     def test_separable_reaches_full_accuracy(self):
         rng = np.random.default_rng(0)
@@ -133,6 +203,64 @@ class TestSvmTrain:
     def test_single_class_rejected(self):
         with pytest.raises(ContractError):
             fusion.svm_train(np.zeros((5, 2)), np.zeros(5, dtype=int))
+
+    def test_fractional_labels_rejected(self):
+        rng = np.random.default_rng(8)
+        x, y = blobs(rng, [[0, 0], [4, 0], [0, 4]], 10)
+        with pytest.raises(ContractError, match="integers"):
+            fusion.svm_train(x, y + 0.7)
+        assert fusion.svm_train(x, y.astype(np.float64), epochs=5).weights.shape == (3, 2)
+
+    def test_non_finite_feature_rejected_with_its_row(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(30, 4))
+        y = np.arange(30) % 3
+        for bad in (np.nan, np.inf, -np.inf):
+            x_bad = x.copy()
+            x_bad[17, 2] = bad
+            with pytest.raises(ContractError, match="row 17 "):
+                fusion.svm_train(x_bad, y)
+
+
+class TestSvmOracle:
+    """``svm_train`` agrees with ``reference_svm_train`` to rounding."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        c=st.integers(2, 12),
+        extra_rows=st.integers(0, 40),
+        d=st.integers(1, 16),
+        lam=st.sampled_from([1e-4, 1e-2, 1.0, 10.0]),
+        scale=st.sampled_from([0.1, 1.0, 10.0]),
+        fit_bias=st.booleans(),
+        epochs=st.integers(1, 60),
+    )
+    @example(seed=0, c=2, extra_rows=30, d=5, lam=1e-4, scale=1.0, fit_bias=True, epochs=200)
+    @example(seed=1, c=12, extra_rows=48, d=16, lam=1e-4, scale=1.0, fit_bias=False, epochs=200)
+    @example(**BINDING[0], lam=10.0, scale=10.0, fit_bias=True, epochs=60)
+    @example(**BINDING[1], lam=10.0, scale=10.0, fit_bias=False, epochs=60)
+    def test_matches_reference(self, seed, c, extra_rows, d, lam, scale, fit_bias, epochs):
+        x, y = oracle_problem(seed, c + extra_rows, d, c, scale)
+        got = fusion.svm_train(x, y, lam=lam, epochs=epochs, fit_bias=fit_bias)
+        want = reference_svm_train(x, y, lam, epochs, fit_bias)
+        np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.biases, want.biases, rtol=0, atol=1e-12)
+        assert got.checkpoint_epochs == want.checkpoint_epochs
+        np.testing.assert_allclose(got.checkpoint_objectives, want.checkpoint_objectives, rtol=0, atol=1e-12)
+        assert np.array_equal(fusion.svm_predict_batch(got, x)[0], fusion.svm_predict_batch(want, x)[0])
+        for k in range(c):
+            yk = np.where(y == k, 1.0, -1.0)
+            objective = fusion.svm_objective(got.weights[k], got.biases[k], x, yk, lam)
+            assert abs(got.checkpoint_objectives[-1, k] - objective) <= 1e-12
+
+    @pytest.mark.parametrize("case", BINDING)
+    def test_binding_examples_leave_the_ball_at_the_first_step(self, case):
+        # at t = 1 every margin is 0, so the unprojected step is eta * Y^T X / n
+        lam, c = 10.0, case["c"]
+        x, y = oracle_problem(case["seed"], c + case["extra_rows"], case["d"], c, 10.0)
+        y_pm = np.where(y[:, None] == np.arange(c), 1.0, -1.0)
+        step = (y_pm.T @ x) / x.shape[0] / (1.0 + lam)
+        assert np.linalg.norm(step, axis=1).max() > 1.0 / np.sqrt(lam)
 
 
 class TestSvmPredict:

@@ -77,6 +77,14 @@ class TestGenerateSynthetic:
         for c, name in enumerate(ds.class_names):
             assert name == f"g{c // 4:02d}c{c % 4:02d}"
 
+    def test_handle_rejects_fractional_labels(self):
+        images = np.zeros((2, 1, 8, 8))
+        split = np.zeros(2, np.uint8)
+        with pytest.raises(InvariantError, match="integers"):
+            pipeline.DatasetHandle(images=images, labels=np.array([0.5, 1.2]), split=split, class_names=("a", "b"))
+        handle = pipeline.DatasetHandle(images=images, labels=np.array([0.0, 1.0]), split=split, class_names=("a", "b"))
+        assert handle.labels.dtype == np.int64 and handle.labels.tolist() == [0, 1]
+
     def test_same_seed_bit_identical(self):
         a = generate_synthetic(**TINY)
         b = generate_synthetic(**TINY)
