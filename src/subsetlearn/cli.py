@@ -12,9 +12,8 @@ import logging
 import sys
 from pathlib import Path
 
-from . import cluster, container, pipeline
+from . import container, pipeline
 from .config import RunConfig, parse_config
-from .convnet import Tap
 from .errors import ConfigError, ContainerError, ShapeError
 
 EXIT_OK = 0
@@ -35,8 +34,8 @@ def cmd_gen(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _system_name(provenance: dict) -> str:
-    return f"{provenance['graph']}+subset({provenance['selector']})"
+def _system_name(bundle: pipeline.ModelBundle) -> str:
+    return f"{bundle.provenance['graph']}+subset({bundle.selector_kind})"
 
 
 def cmd_train(cfg: RunConfig, out_dir: Path, workers: int) -> int:
@@ -55,7 +54,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, workers: int) -> int:
         metrics = pipeline.evaluate(bundle, target, "test")
         bundle_path = out_dir / f"bundle-seed{seed}.sfl"
         pipeline.save_bundle(bundle_path, bundle)
-        rows.append((_system_name(bundle.provenance), seed, metrics.mean_accuracy, metrics.overall_accuracy))
+        rows.append((_system_name(bundle), seed, metrics.mean_accuracy, metrics.overall_accuracy))
         print(f"{bundle_path} seed={seed} mean_accuracy={metrics.mean_accuracy!r}")
     metrics_path = out_dir / "metrics.csv"
     pipeline.write_metrics_csv(metrics_path, rows)
@@ -68,7 +67,7 @@ def cmd_eval(bundle_path: Path, dataset_path: Path, out_dir: Path) -> int:
     bundle = pipeline.load_bundle(bundle_path)
     dataset = pipeline.load_dataset(dataset_path)
     metrics = pipeline.evaluate(bundle, dataset, "test")
-    name, seed = _system_name(bundle.provenance), bundle.provenance["seed"]
+    name, seed = _system_name(bundle), bundle.provenance["seed"]
     pipeline.write_metrics_csv(
         out_dir / "metrics.csv", [(name, seed, metrics.mean_accuracy, metrics.overall_accuracy)]
     )
@@ -77,30 +76,14 @@ def cmd_eval(bundle_path: Path, dataset_path: Path, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_cluster_report(cfg: RunConfig, out_dir: Path) -> int:
-    """Pre-cluster the target under each feature tap and write the comparison CSV.
+def cmd_cluster_report(bundle_path: Path, dataset_path: Path, out_dir: Path) -> int:
+    """Compare pre-clustering quality across the bundle base net's feature taps
+    on the dataset's train split and write the comparison CSV.
 
     Rows: raw conv tap, raw penultimate fc tap, and lda-projected fc tap, each
     with its silhouette and cluster-size extremes.
     """
-    seed = cfg.seeds[0]
-    datasets = cfg.build_datasets(seed)
-    target = datasets[cfg.target]
-    system = cfg.system_config(seed)
-    stage = pipeline.run_stage_graph(cfg.stage_graph(), datasets, system.train)
-    rows = target.rows("train")
-    images, labels = target.images[rows], target.labels[rows]
-    conv_feats = pipeline.extract_features(stage.net, images, Tap.CONV_LAST)
-    fc_feats = pipeline.extract_features(stage.net, images, Tap.FC_PENULTIMATE)
-    lda = cluster.lda_fit(fc_feats, labels, out_dim=system.lda_dim(target.n_classes))
-    reports = []
-    for tap_name, feats, lda_model in (
-        (Tap.CONV_LAST.value, conv_feats, None),
-        (Tap.FC_PENULTIMATE.value, fc_feats, None),
-        ("lda_" + Tap.FC_PENULTIMATE.value, fc_feats, lda),
-    ):
-        _, _, report = pipeline.precluster(system, feats, labels, tap_name, lda_model)
-        reports.append(report)
+    reports = pipeline.tap_reports(pipeline.load_bundle(bundle_path), pipeline.load_dataset(dataset_path))
     lines = ["tap,silhouette,min_size,max_size"] + [r.csv_row() for r in reports]
     report_path = out_dir / "cluster_report.csv"
     container.atomic_write_text(report_path, "\n".join(lines) + "\n")
@@ -119,21 +102,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=1, help="worker threads (1 keeps runs bit-deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate the configured synthetic datasets")
-    gen.add_argument("--config", required=True)
-    gen.add_argument("--seed", type=int, default=None, help="override the configured seeds")
-
-    train = sub.add_parser("train", help="train the full system, one run per seed")
-    train.add_argument("--config", required=True)
-    train.add_argument("--seed", type=int, default=None, help="override the configured seeds")
-
-    ev = sub.add_parser("eval", help="evaluate a saved bundle on a saved dataset")
-    ev.add_argument("bundle")
-    ev.add_argument("dataset")
-
-    report = sub.add_parser("cluster-report", help="compare pre-clustering quality across feature taps")
-    report.add_argument("--config", required=True)
-    report.add_argument("--seed", type=int, default=None, help="override the configured seeds")
+    for name, text in (
+        ("gen", "generate the configured synthetic datasets"),
+        ("train", "train the full system, one run per seed"),
+    ):
+        command = sub.add_parser(name, help=text)
+        command.add_argument("--config", required=True)
+        command.add_argument("--seed", type=int, default=None, help="override the configured seeds")
+    for name, text in (
+        ("eval", "evaluate a saved bundle on a saved dataset"),
+        ("cluster-report", "compare pre-clustering quality across a saved bundle's feature taps"),
+    ):
+        command = sub.add_parser(name, help=text)
+        command.add_argument("bundle")
+        command.add_argument("dataset")
     return parser
 
 
@@ -153,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "eval":
             return cmd_eval(Path(args.bundle), Path(args.dataset), out_dir)
         if args.command == "cluster-report":
-            return cmd_cluster_report(parse_config(args.config, args.seed), out_dir)
+            return cmd_cluster_report(Path(args.bundle), Path(args.dataset), out_dir)
         raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

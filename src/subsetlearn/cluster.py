@@ -48,9 +48,7 @@ class ClassClusterMap:
     k: int
 
     def __post_init__(self):
-        m = numkit.exact_ints(self.class_to_subset)
-        if m is None:
-            raise ContractError("subset indices must be integers")
+        m = numkit.as_ints(self.class_to_subset, "subset indices")
         object.__setattr__(self, "class_to_subset", m)
         if m.ndim != 1 or m.size == 0:
             raise ShapeError("class_to_subset must be a nonempty 1-d array")
@@ -100,7 +98,7 @@ def lda_fit(features: np.ndarray, labels, out_dim: int, ridge: float | None = No
     invariant to class relabeling.
     """
     features = numkit.as_matrix(features, "features")
-    labels = np.asarray(labels).astype(np.int64)
+    labels = numkit.as_ints(labels)
     if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
         raise ShapeError("labels must be 1-d and match the feature rows")
     n, d_in = features.shape
@@ -314,7 +312,7 @@ def precluster_classes(
     cluster-size histogram, which makes feature-tap comparisons measurable.
     """
     features = numkit.as_matrix(features, "features")
-    labels = np.asarray(labels).astype(np.int64)
+    labels = numkit.as_ints(labels)
     if labels.shape[0] != features.shape[0]:
         raise ShapeError("labels must match feature rows")
     projected = lda_transform(lda, features) if lda is not None else features

@@ -199,9 +199,5 @@ def _atomic_write(path, pieces) -> None:
         raise
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
-    _atomic_write(path, (payload,))
-
-
 def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    _atomic_write(path, (text.encode("utf-8"),))

@@ -22,6 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import numkit
 from .errors import ContractError, ShapeError
 from .numkit import Rng
 
@@ -397,22 +398,10 @@ class NetParams:
 
     layers: tuple[LayerParams | None, ...]
 
-    def copy(self) -> "NetParams":
+    def map(self, fn) -> "NetParams":
+        """New params holding fn(weight) and fn(bias) of every parametric layer."""
         return NetParams(
-            tuple(
-                LayerParams(lp.weight.copy(), lp.bias.copy()) if lp is not None else None
-                for lp in self.layers
-            )
-        )
-
-    def zeros_like(self) -> "NetParams":
-        return NetParams(
-            tuple(
-                LayerParams(np.zeros_like(lp.weight), np.zeros_like(lp.bias))
-                if lp is not None
-                else None
-                for lp in self.layers
-            )
+            tuple(None if lp is None else LayerParams(fn(lp.weight), fn(lp.bias)) for lp in self.layers)
         )
 
 
@@ -525,10 +514,9 @@ def forward(spec: NetSpec, params: NetParams, batch: np.ndarray, tap: Tap = Tap.
 
 
 def _check_labels(labels, class_count: int) -> np.ndarray:
-    labels = np.asarray(labels)
+    labels = numkit.as_ints(labels)
     if labels.ndim != 1:
         raise ShapeError("labels must be 1-d")
-    labels = labels.astype(np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= class_count):
         raise ContractError(f"labels must lie in [0, {class_count})")
     return labels
@@ -602,8 +590,8 @@ def train(
     if cfg.batch_size > n:
         raise ContractError(f"batch_size {cfg.batch_size} exceeds training set size {n}")
 
-    current = params.copy()
-    velocity = params.zeros_like()
+    current = params.map(lambda a: a.copy())
+    velocity = params.map(np.zeros_like)
     rng = Rng(cfg.seed)
     trainable = [i for i, lp in enumerate(current.layers) if lp is not None and i >= (cfg.freeze_below or 0)]
     history: list[float] = []

@@ -98,9 +98,7 @@ def svm_train(
     scores are that sum over t and need no product of their own.
     """
     features = numkit.as_matrix(features, "features")
-    labels = numkit.exact_ints(labels)
-    if labels is None:
-        raise ContractError("labels must be integers")
+    labels = numkit.as_ints(labels)
     if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
         raise ShapeError("labels must be 1-d and match the feature rows")
     classes = np.unique(labels)

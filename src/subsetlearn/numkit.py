@@ -85,6 +85,15 @@ def exact_ints(a, dtype=np.int64) -> np.ndarray | None:
     return ints if np.array_equal(ints, values) else None
 
 
+def as_ints(a, name: str = "labels") -> np.ndarray:
+    """a as int64 through exact_ints; ContractError unless every value is an
+    exact integer."""
+    ints = exact_ints(a)
+    if ints is None:
+        raise ContractError(f"{name} must be integers")
+    return ints
+
+
 def _check_square_symmetric(a: np.ndarray, what: str) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} requires a square matrix, got {a.shape}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import cluster as _cluster
 from . import container, convnet, fusion, numkit, subset
-from .cluster import ClassClusterMap, KMeansModel, LdaModel
+from .cluster import ClassClusterMap, KMeansModel, LdaModel, TapReport
 from .convnet import NetParams, NetSpec, Network, Tap, TrainConfig
 from .errors import ContractError, InvariantError, ShapeError
 from .fusion import SvmModel
@@ -37,6 +37,8 @@ class DatasetHandle:
     generator: dict | None = None
 
     def __post_init__(self):
+        for name in ("images", "labels", "split"):  # a list is taken like an array
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
         if self.images.ndim != 4:
             raise ShapeError("images must be (N, C, H, W)")
         n = self.images.shape[0]
@@ -340,8 +342,8 @@ class Metrics:
 
 
 def metrics_from_predictions(y_true, y_pred, n_classes: int) -> Metrics:
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
+    y_true = numkit.as_ints(y_true, "true labels")
+    y_pred = numkit.as_ints(y_pred, "predicted labels")
     if y_true.shape != y_pred.shape or y_true.ndim != 1 or y_true.size == 0:
         raise ShapeError("predictions must be a nonempty 1-d array matching the truth")
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
@@ -404,6 +406,10 @@ class ModelBundle:
         except ContractError as exc:
             raise InvariantError(str(exc)) from exc
 
+    @property
+    def selector_kind(self) -> str:
+        return "network" if isinstance(self.ensemble.selector, NetSelector) else "centroid"
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -417,7 +423,7 @@ class SystemConfig:
     selector_epochs: int | None = None
     svm_lambda: float = fusion.SVM_LAMBDA
     svm_epochs: int = fusion.SVM_EPOCHS
-    lda_out_dim: int | None = None
+    lda_out_dim: int | None = None  # None: min(C - 1, 32) for C target classes
     kmeans_restarts: int = _cluster.KMEANS_RESTARTS
 
     def __post_init__(self):
@@ -432,18 +438,13 @@ class SystemConfig:
             if value is not None and value < 1:
                 raise ContractError(f"{name} must be >= 1")
 
-    def lda_dim(self, n_classes: int) -> int:
-        """LDA output width: lda_out_dim when set, else min(C - 1, 32)."""
-        return self.lda_out_dim if self.lda_out_dim is not None else min(n_classes - 1, 32)
-
-
-def precluster(config: SystemConfig, feats: np.ndarray, labels, tap: Tap | str, lda: LdaModel | None):
-    """The system's class pre-clustering: k-means into config.k subsets with
-    config.kmeans_restarts restarts, seeded from the run seed."""
-    rng = Rng(derive_seed(config.train.seed, 101))
-    return _cluster.precluster_classes(
-        feats, labels, tap, lda, config.k, rng, restarts=config.kmeans_restarts
-    )
+def precluster(
+    feats: np.ndarray, labels, tap: Tap | str, lda: LdaModel | None, k: int, seed: int, restarts: int
+):
+    """The system's class pre-clustering into k subsets, seeded from the run
+    seed: build_system and tap_reports both cluster through here."""
+    rng = Rng(derive_seed(seed, 101))
+    return _cluster.precluster_classes(feats, labels, tap, lda, k, rng, restarts=restarts)
 
 
 def fused_width(bundle_base: Network, ensemble: SubsetEnsemble) -> int:
@@ -506,8 +507,10 @@ def build_system(
     images, labels = target.images[rows], target.labels[rows]
     feats = extract_features(base, images, Tap.FC_PENULTIMATE)
 
-    lda = _cluster.lda_fit(feats, labels, out_dim=config.lda_dim(target.n_classes))
-    cmap, kmeans, _ = precluster(config, feats, labels, Tap.FC_PENULTIMATE, lda)
+    lda = _cluster.lda_fit(feats, labels, out_dim=config.lda_out_dim or min(target.n_classes - 1, 32))
+    cmap, kmeans, _ = precluster(
+        feats, labels, Tap.FC_PENULTIMATE, lda, config.k, config.train.seed, config.kmeans_restarts
+    )
 
     partition = subset.build_partition(cmap, labels)
     subset_cfg = config.train.for_run(
@@ -539,24 +542,48 @@ def build_system(
             "graph": stage.name,
             "steps": stage.steps,
             "seed": config.train.seed,
-            "k": config.k,
-            "selector": config.selector,
+            "kmeans_restarts": config.kmeans_restarts,
         },
     )
     bundle.validate()
     return bundle
 
 
-def evaluate(bundle: ModelBundle, dataset: DatasetHandle, split: str = "test") -> Metrics:
-    """Classify one split with the bundle.  Pure: the bundle is never mutated."""
+def _check_class_count(bundle: ModelBundle, dataset: DatasetHandle) -> None:
     if dataset.n_classes != bundle.svm.weights.shape[0]:
         raise ShapeError(
             f"bundle has {bundle.svm.weights.shape[0]} classes, dataset has {dataset.n_classes}"
         )
+
+
+def evaluate(bundle: ModelBundle, dataset: DatasetHandle, split: str = "test") -> Metrics:
+    """Classify one split with the bundle.  Pure: the bundle is never mutated."""
+    _check_class_count(bundle, dataset)
     rows = dataset.rows(split)
     fused = fuse_dataset_features(bundle.base, bundle.ensemble, dataset.images, rows)
     preds, _ = fusion.svm_predict_batch(bundle.svm, fused)
     return metrics_from_predictions(dataset.labels[rows], preds, dataset.n_classes)
+
+
+def tap_reports(bundle: ModelBundle, dataset: DatasetHandle) -> tuple[TapReport, ...]:
+    """Pre-clustering quality of the bundle base net's conv tap, raw
+    penultimate tap and LDA-projected penultimate tap on the dataset's train
+    split.  Nothing trains: k, seed, restarts and the LDA are the bundle's, so
+    on the dataset it was trained on the LDA row reproduces its cluster map."""
+    _check_class_count(bundle, dataset)
+    restarts = bundle.provenance.get("kmeans_restarts")
+    if type(restarts) is not int or restarts < 1:
+        raise InvariantError(f"bundle provenance kmeans_restarts must be an integer >= 1, got {restarts!r}")
+    rows = dataset.rows("train")
+    images, labels = dataset.images[rows], dataset.labels[rows]
+    fc_feats = extract_features(bundle.base, images, Tap.FC_PENULTIMATE)
+    taps = (
+        (Tap.CONV_LAST.value, extract_features(bundle.base, images, Tap.CONV_LAST), None),
+        (Tap.FC_PENULTIMATE.value, fc_feats, None),
+        ("lda_" + Tap.FC_PENULTIMATE.value, fc_feats, bundle.lda),
+    )
+    k, seed = bundle.cluster_map.k, bundle.provenance["seed"]
+    return tuple(precluster(feats, labels, tap, lda, k, seed, restarts)[2] for tap, feats, lda in taps)
 
 
 def evaluate_feature_svm(net: Network, dataset: DatasetHandle, epochs: int = fusion.SVM_EPOCHS) -> Metrics:
@@ -676,8 +703,7 @@ def load_dataset(path) -> DatasetHandle:
 
 def save_bundle(path, bundle: ModelBundle) -> None:
     bundle.validate()
-    selector = bundle.ensemble.selector
-    selector_kind = "network" if isinstance(selector, NetSelector) else "centroid"
+    selector, selector_kind = bundle.ensemble.selector, bundle.selector_kind
     meta = {
         "kind": "bundle",
         "k": bundle.ensemble.k,
@@ -728,8 +754,8 @@ def load_bundle(path) -> ModelBundle:
         if not isinstance(provenance, dict):
             raise InvariantError(f"{path}: provenance must be a JSON object")
         _json_int(provenance["seed"], "provenance seed")
-        if not (isinstance(provenance["graph"], str) and isinstance(provenance["selector"], str)):
-            raise InvariantError(f"{path}: provenance graph and selector must be strings")
+        if not isinstance(provenance["graph"], str):
+            raise InvariantError(f"{path}: provenance graph must be a string")
         base_spec = _spec_from_json(info["base_spec"])
         base = Network(base_spec, _params_from_tensors("base", base_spec, tensors))
         lda = LdaModel(

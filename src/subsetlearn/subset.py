@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import convnet
+from . import convnet, numkit
 from .cluster import ClassClusterMap, KMeansModel, LdaModel, kmeans_assign, lda_transform
 from .convnet import Network, Tap, TrainConfig
 from .errors import ContractError, ShapeError
@@ -91,7 +91,7 @@ def build_partition(cmap: ClassClusterMap, labels) -> SubsetPartition:
     Membership depends only on classes, so permuting row order permutes each
     subset's row list but never its membership set.
     """
-    labels = np.asarray(labels).astype(np.int64)
+    labels = numkit.as_ints(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise ShapeError("labels must be a nonempty 1-d array")
     n_classes = cmap.class_to_subset.size
@@ -103,8 +103,7 @@ def build_partition(cmap: ClassClusterMap, labels) -> SubsetPartition:
         rows = np.flatnonzero(np.isin(labels, classes))
         if rows.size == 0:
             raise ContractError(f"subset {k} has no rows in this dataset")
-        remap = {int(c): i for i, c in enumerate(classes)}
-        local = np.array([remap[int(c)] for c in labels[rows]], dtype=np.int64)
+        local = np.searchsorted(classes, labels[rows])  # classes ascend, so this is the dense rank
         subsets.append(SubsetInfo(classes=classes, rows=rows, local_labels=local))
     return SubsetPartition(subsets=tuple(subsets))
 
@@ -164,8 +163,8 @@ def train_selector_net(
 ) -> NetSelector:
     """Train the network selector: subset indices become the class labels and
     the head is resized to k outputs, starting from the base trunk."""
-    labels = np.asarray(labels).astype(np.int64)
-    return NetSelector(net=_fine_tune(base, images, cmap.class_to_subset[labels], cmap.k, cfg, 0))
+    subset_labels = cmap.class_to_subset[numkit.as_ints(labels)]
+    return NetSelector(net=_fine_tune(base, images, subset_labels, cmap.k, cfg, 0))
 
 
 def select_batch(selector: Selector, images: np.ndarray, base_feats: np.ndarray) -> np.ndarray:

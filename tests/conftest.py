@@ -28,7 +28,7 @@ settings.register_profile("tier1", derandomize=True, deadline=None, max_examples
 settings.load_profile("tier1")
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def run_cli():
     """``run_cli(*args, cwd=...)`` runs ``python -m subsetlearn *args`` in ``cwd``."""
     env = dict(os.environ)

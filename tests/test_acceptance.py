@@ -262,18 +262,8 @@ def test_criterion_08_progressive_transfer_ordering():
 def test_criterion_09_preclustering_tap_ordering(benchmark_builds):
     conv_sils = []
     lda_sils = []
-    for seed, ds, bundle in benchmark_builds:
-        rows = ds.rows("train")
-        images, labels = ds.images[rows], ds.labels[rows]
-        conv_feats = pipeline.extract_features(bundle.base, images, Tap.CONV_LAST)
-        fc_feats = pipeline.extract_features(bundle.base, images, Tap.FC_PENULTIMATE)
-        rng_seed = derive_seed(seed, 101)
-        _, _, conv_rep = cluster.precluster_classes(
-            conv_feats, labels, Tap.CONV_LAST, None, 3, Rng(rng_seed)
-        )
-        _, _, lda_rep = cluster.precluster_classes(
-            fc_feats, labels, "lda_" + Tap.FC_PENULTIMATE.value, bundle.lda, 3, Rng(rng_seed)
-        )
+    for _, ds, bundle in benchmark_builds:
+        conv_rep, _, lda_rep = pipeline.tap_reports(bundle, ds)
         conv_sils.append(conv_rep.silhouette)
         lda_sils.append(lda_rep.silhouette)
     ok = np.mean(lda_sils) >= np.mean(conv_sils)

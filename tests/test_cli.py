@@ -7,11 +7,11 @@ import zlib
 import numpy as np
 import pytest
 
-from subsetlearn import cli, cluster, container, pipeline
+from subsetlearn import cli, cluster, container, convnet, pipeline
 from subsetlearn.config import _KEYS, RunConfig, parse_config
-from subsetlearn.convnet import TrainConfig
+from subsetlearn.convnet import Tap, TrainConfig
 from subsetlearn.errors import ConfigError
-from subsetlearn.numkit import derive_seed
+from subsetlearn.numkit import Rng, derive_seed
 from subsetlearn.pipeline import SystemConfig
 
 CONFIG = """
@@ -225,6 +225,40 @@ class TestTrain:
         assert not (out / "bundle-seed3.sfl").exists()
 
 
+REPORT_CONFIGS = {
+    "network": CONFIG,
+    "three_stage_centroid": THREE_STAGE_CONFIG + "\n[cluster]\nrestarts = 3\n",
+}
+
+
+@pytest.fixture(scope="module")
+def trained(run_cli, tmp_path_factory):
+    """``trained(name)`` -> (config, bundle, dataset) paths; ``train`` and
+    ``gen`` run once per REPORT_CONFIGS entry, on first use."""
+    built = {}
+
+    def get(name):
+        if name not in built:
+            out = tmp_path_factory.mktemp(name)
+            config = out / "run.ini"
+            config.write_text(REPORT_CONFIGS[name])
+            for command in ("train", "gen"):
+                done = run_cli("--out-dir", str(out), command, "--config", str(config), cwd=out)
+                assert done.returncode == 0, done.stderr
+            built[name] = (config, out / "bundle-seed3.sfl", out / "target.sfl")
+        return built[name]
+
+    return get
+
+
+def edited_bundle(src, dst, edit) -> None:
+    """Copy the bundle at src to dst with edit(metadata) applied to its JSON metadata."""
+    tensors, meta = container.read_container(src)
+    info = json.loads(meta)
+    edit(info)
+    container.write_container(dst, tensors, json.dumps(info))
+
+
 class TestEval:
     def test_reproduces_training_metrics(self, run_cli, tmp_path, config_file):
         out = tmp_path / "out"
@@ -349,6 +383,18 @@ class TestEval:
         assert result.returncode == 3, result.stderr
         assert not (ev / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("name,held,claimed", [
+        ("network", "network", "centroid"),
+        ("three_stage_centroid", "centroid", "network"),
+    ])
+    def test_system_name_follows_the_selector_held(self, tmp_path, trained, name, held, claimed):
+        _, bundle, dataset = trained(name)
+        edited = tmp_path / "edited.sfl"  # provenance as written before it stopped repeating k and selector
+        edited_bundle(bundle, edited, lambda info: info["provenance"].update(selector=claimed, k=7))
+        assert cli.main(["--out-dir", str(tmp_path), "eval", str(edited), str(dataset)]) == 0
+        system_name = (tmp_path / "metrics.csv").read_text().splitlines()[1].split(",")[0]
+        assert system_name.endswith(f"+subset({held})")
+
     def test_missing_bundle_is_other_error(self, run_cli, tmp_path, config_file):
         out = tmp_path / "out"
         generated = run_cli("--out-dir", str(out), "gen", "--config", str(config_file), cwd=tmp_path)
@@ -362,20 +408,116 @@ class TestEval:
         assert result.stderr.startswith("error:") and str(missing) in result.stderr, result.stderr
 
 
+def reference_report(config_path) -> bytes:
+    """cluster_report.csv by the recipe of the config-driven command that came
+    before ``cluster-report BUNDLE DATASET``: train the stage graph again, fit
+    the LDA on its penultimate features, and pre-cluster each tap with the
+    configured k and restarts and the rng of seed ``derive_seed(seed, 101)``."""
+    cfg = parse_config(config_path)
+    seed = cfg.seeds[0]
+    datasets = cfg.build_datasets(seed)
+    target = datasets[cfg.target]
+    system = cfg.system_config(seed)
+    net = pipeline.run_stage_graph(cfg.stage_graph(), datasets, system.train).net
+    rows = target.rows("train")
+    images, labels = target.images[rows], target.labels[rows]
+    conv_feats = pipeline.extract_features(net, images, Tap.CONV_LAST)
+    fc_feats = pipeline.extract_features(net, images, Tap.FC_PENULTIMATE)
+    out_dim = system.lda_out_dim or min(target.n_classes - 1, 32)
+    lda = cluster.lda_fit(fc_feats, labels, out_dim=out_dim)
+    lines = ["tap,silhouette,min_size,max_size"]
+    for tap, feats, model in (
+        ("conv_last", conv_feats, None),
+        ("fc_penultimate", fc_feats, None),
+        ("lda_fc_penultimate", fc_feats, lda),
+    ):
+        rng = Rng(derive_seed(seed, 101))
+        _, _, report = cluster.precluster_classes(
+            feats, labels, tap, model, system.k, rng, restarts=system.kmeans_restarts
+        )
+        lines.append(report.csv_row())
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestClusterReport:
-    def test_three_rows_and_determinism(self, run_cli, tmp_path, config_file):
-        r1 = run_cli("--out-dir", str(tmp_path / "o1"), "cluster-report", "--config", str(config_file), cwd=tmp_path)
-        assert r1.returncode == 0, r1.stderr
-        lines = (tmp_path / "o1" / "cluster_report.csv").read_text().strip().splitlines()
-        assert lines[0] == "tap,silhouette,min_size,max_size"
-        assert len(lines) == 4
-        taps = [line.split(",")[0] for line in lines[1:]]
-        assert taps == ["conv_last", "fc_penultimate", "lda_fc_penultimate"]
-        r2 = run_cli("--out-dir", str(tmp_path / "o2"), "cluster-report", "--config", str(config_file), cwd=tmp_path)
-        assert r2.returncode == 0, r2.stderr
-        assert (tmp_path / "o1" / "cluster_report.csv").read_bytes() == (
-            tmp_path / "o2" / "cluster_report.csv"
-        ).read_bytes()
+    @pytest.mark.parametrize("name", sorted(REPORT_CONFIGS))
+    def test_same_bytes_as_retraining_recipe(self, run_cli, tmp_path, trained, name):
+        config, bundle, dataset = trained(name)
+        result = run_cli("--out-dir", str(tmp_path), "cluster-report", str(bundle), str(dataset), cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        written = (tmp_path / "cluster_report.csv").read_bytes()
+        assert written == reference_report(config)
+        taps = [line.split(",")[0] for line in written.decode().splitlines()]
+        assert taps == ["tap", "conv_last", "fc_penultimate", "lda_fc_penultimate"]
+
+    def test_trains_nothing(self, tmp_path, trained, monkeypatch):
+        config, bundle, dataset = trained("network")
+        expected = reference_report(config)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cluster-report must not train")
+
+        for module, name in ((convnet, "train"), (pipeline, "run_stage_graph"), (cluster, "lda_fit")):
+            monkeypatch.setattr(module, name, forbidden)
+        assert cli.main(["--out-dir", str(tmp_path), "cluster-report", str(bundle), str(dataset)]) == 0
+        assert (tmp_path / "cluster_report.csv").read_bytes() == expected
+
+    def test_lda_row_is_the_bundle_cluster_map(self, trained, monkeypatch):
+        _, bundle_path, dataset_path = trained("network")
+        bundle = pipeline.load_bundle(bundle_path)
+        maps = []
+        precluster_classes = cluster.precluster_classes
+
+        def recording(*args, **kwargs):
+            result = precluster_classes(*args, **kwargs)
+            maps.append(result[0])
+            return result
+
+        monkeypatch.setattr(cluster, "precluster_classes", recording)
+        reports = pipeline.tap_reports(bundle, pipeline.load_dataset(dataset_path))
+        assert len(maps) == 3 and reports[2].tap == "lda_fc_penultimate"
+        assert np.array_equal(maps[2].class_to_subset, bundle.cluster_map.class_to_subset)
+        assert reports[2].cluster_sizes == tuple(np.bincount(bundle.cluster_map.class_to_subset))
+
+    @pytest.mark.parametrize(
+        "restarts", [None, 0, 2.5, "3", True], ids=["missing", "zero", "fraction", "string", "bool"]
+    )
+    def test_bad_kmeans_restarts_exit_3_and_eval_still_works(self, tmp_path, trained, capsys, restarts):
+        _, bundle, dataset = trained("network")
+        edited = tmp_path / "edited.sfl"
+
+        def edit(info):
+            if restarts is None:
+                del info["provenance"]["kmeans_restarts"]
+            else:
+                info["provenance"]["kmeans_restarts"] = restarts
+
+        edited_bundle(bundle, edited, edit)
+        out = tmp_path / "out"
+        assert cli.main(["--out-dir", str(out), "cluster-report", str(edited), str(dataset)]) == 3
+        assert "kmeans_restarts" in capsys.readouterr().err
+        assert not (out / "cluster_report.csv").exists()
+        assert cli.main(["--out-dir", str(out), "eval", str(edited), str(dataset)]) == 0
+
+    def test_exit_codes(self, tmp_path, trained):
+        _, bundle, dataset = trained("network")
+        corrupt = tmp_path / "corrupt.sfl"
+        data = bytearray(bundle.read_bytes())
+        data[len(data) // 3] ^= 0x55
+        corrupt.write_bytes(bytes(data))
+        other = tmp_path / "other.sfl"
+        pipeline.save_dataset(
+            other,
+            pipeline.generate_synthetic(n_groups=3, classes_per_group=2, train_per_class=3, test_per_class=2, seed=0),
+        )
+        out = tmp_path / "out"
+        for bundle_path, dataset_path, code in (
+            (corrupt, dataset, 3),
+            (bundle, other, 4),
+            (tmp_path / "missing.sfl", dataset, 1),
+        ):
+            assert cli.main(["--out-dir", str(out), "cluster-report", str(bundle_path), str(dataset_path)]) == code
+            assert not (out / "cluster_report.csv").exists()
 
 
 class TestConfigParsing:
@@ -516,31 +658,3 @@ class TestConfigParsing:
             for f in dataclasses.fields(got):
                 if f.name not in ("seed", "freeze_below"):
                     assert getattr(got, f.name) != getattr(default, f.name), f.name
-
-    def test_build_and_cluster_report_share_lda_out_dim(self, tmp_path, monkeypatch):
-        out_dims = []
-        kmeans_runs = []
-        lda_fit = cluster.lda_fit
-        precluster_classes = cluster.precluster_classes
-
-        def recording(features, labels, out_dim, ridge=None):
-            out_dims.append(out_dim)
-            return lda_fit(features, labels, out_dim, ridge)
-
-        def recording_kmeans(features, labels, tap, lda, k, rng, restarts):
-            kmeans_runs.append((rng.seed, restarts))
-            return precluster_classes(features, labels, tap, lda, k, rng, restarts=restarts)
-
-        monkeypatch.setattr(cluster, "lda_fit", recording)
-        monkeypatch.setattr(cluster, "precluster_classes", recording_kmeans)
-        config_file = tmp_path / "run.ini"
-        config_file.write_text(with_entry("cluster", "restarts = 3"))
-        cfg = parse_config(config_file)
-        cli.cmd_cluster_report(cfg, tmp_path)
-        datasets = cfg.build_datasets(cfg.seeds[0])
-        pipeline.build_system(
-            datasets[cfg.target], graph=cfg.stage_graph(), extra_datasets=datasets, config=cfg.system_config(3)
-        )
-        assert out_dims == [3, 3]  # min(C - 1, 32) for the 4-class target
-        # three taps in cluster-report, then the build: one seed and the configured restarts
-        assert kmeans_runs == [(derive_seed(3, 101), 3)] * 4

@@ -149,7 +149,7 @@ class TestForward:
 
     def test_zero_weight_conv_tap_is_zero(self):
         spec = tiny_spec()
-        params = convnet.init_params(spec, Rng(1)).zeros_like()
+        params = convnet.init_params(spec, Rng(1)).map(np.zeros_like)
         out = convnet.forward(spec, params, Rng(3).normal((2, 2, 8, 8)), Tap.CONV_LAST)
         assert np.all(out == 0.0)
 
@@ -209,7 +209,7 @@ class TestForward:
 class TestLossAndGrads:
     def test_uniform_predictions_loss_is_log_c(self):
         spec = tiny_spec(class_count=3)
-        params = convnet.init_params(spec, Rng(1)).zeros_like()
+        params = convnet.init_params(spec, Rng(1)).map(np.zeros_like)
         x = Rng(2).normal((4, 2, 8, 8))
         loss, _ = convnet.loss_and_grads(spec, params, x, np.array([0, 1, 2, 0]))
         assert abs(loss - math.log(3)) < 1e-12
@@ -417,7 +417,7 @@ class TestTrain:
         # zero conv trunk: logits equal the head bias, so one full-batch step
         # moves the head bias by -lr * (softmax(0) - onehot)
         spec = tiny_spec(class_count=3)
-        params = convnet.init_params(spec, Rng(1)).zeros_like()
+        params = convnet.init_params(spec, Rng(1)).map(np.zeros_like)
         images = Rng(2).normal((1, 2, 8, 8))
         labels = np.array([1])
         lr = 0.25

@@ -85,6 +85,15 @@ class TestGenerateSynthetic:
         handle = pipeline.DatasetHandle(images=images, labels=np.array([0.0, 1.0]), split=split, class_names=("a", "b"))
         assert handle.labels.dtype == np.int64 and handle.labels.tolist() == [0, 1]
 
+    def test_handle_takes_lists_like_arrays(self):
+        images = np.zeros((2, 1, 8, 8))
+        handle = pipeline.DatasetHandle(images=images.tolist(), labels=[0, 1], split=[0, 1], class_names=("a", "b"))
+        assert handle.labels.dtype == np.int64 and handle.labels.tolist() == [0, 1]
+        assert np.array_equal(handle.images, images)
+        assert handle.rows("test").tolist() == [1]
+        with pytest.raises(InvariantError, match="integers"):
+            pipeline.DatasetHandle(images=images, labels=[0.5, 1], split=[0, 1], class_names=("a", "b"))
+
     def test_same_seed_bit_identical(self):
         a = generate_synthetic(**TINY)
         b = generate_synthetic(**TINY)
@@ -383,6 +392,49 @@ class TestMetrics:
         recomputed = (np.diag(m.confusion)[mask] / rows[mask]).mean()
         assert m.mean_accuracy == pytest.approx(recomputed)
         assert m.confusion.sum() == 100
+
+
+@pytest.fixture(scope="module")
+def label_inputs():
+    """Train rows of the TINY dataset, an untrained default net's features of
+    them and a 2-subset cluster map of its 4 classes."""
+    ds = generate_synthetic(**TINY)
+    rows = ds.rows("train")
+    spec = convnet.default_spec(class_count=4)
+    net = convnet.Network(spec, convnet.init_params(spec, Rng(0)))
+    images = ds.images[rows]
+    return dict(
+        images=images,
+        labels=ds.labels[rows],
+        net=net,
+        feats=net.forward(images, Tap.FC_PENULTIMATE),
+        cmap=cluster.ClassClusterMap(np.array([0, 0, 1, 1]), k=2),
+        cfg=TrainConfig(epochs=1, batch_size=16),
+    )
+
+
+# Each entry point that takes class labels, called with fractional ones.
+FRACTIONAL_LABEL_CALLS = {
+    "convnet.fit": lambda d: convnet.fit(d["images"], d["labels"] + 0.7, 4, d["cfg"], 0),
+    "convnet.loss_and_grads": lambda d: convnet.loss_and_grads(
+        d["net"].spec, d["net"].params, d["images"][:4], [0.9, 1.5, 2.2, 3.99]
+    ),
+    "cluster.lda_fit": lambda d: cluster.lda_fit(d["feats"], d["labels"] + 0.5, out_dim=2),
+    "cluster.precluster_classes": lambda d: cluster.precluster_classes(
+        d["feats"], d["labels"] + 0.5, Tap.FC_PENULTIMATE, None, 2, Rng(0)
+    ),
+    "subset.build_partition": lambda d: subset.build_partition(d["cmap"], d["labels"] + 0.5),
+    "subset.train_selector_net": lambda d: subset.train_selector_net(
+        d["cmap"], d["images"], d["labels"] + 0.5, d["net"], d["cfg"]
+    ),
+    "pipeline.metrics_from_predictions": lambda d: metrics_from_predictions([0.5, 1.7], [0, 1], 2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FRACTIONAL_LABEL_CALLS))
+def test_fractional_labels_are_rejected(label_inputs, entry):
+    with pytest.raises(ContractError, match="must be integers"):
+        FRACTIONAL_LABEL_CALLS[entry](label_inputs)
 
 
 class TestBuildSystem:
