@@ -158,7 +158,7 @@ def silhouette_score(points: np.ndarray, assignments) -> float:
     """Mean silhouette over points (euclidean).  Singleton clusters score 0;
     a single cluster overall scores 0."""
     points = numkit.as_matrix(points, "points")
-    assignments = np.asarray(assignments, dtype=np.int64)
+    assignments = numkit.as_ints(assignments, "assignments")
     if assignments.shape[0] != points.shape[0]:
         raise ShapeError("assignments must match point rows")
     clusters = np.unique(assignments)

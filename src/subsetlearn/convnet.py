@@ -59,9 +59,11 @@ def _shifted(x: np.ndarray, i: int, j: int, stride: int, ho: int, wo: int) -> np
     return x[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
 
 
-def _im2col(x: np.ndarray, cols: np.ndarray, k: int, stride: int) -> None:
-    """Copy the k x k windows of x (B, H, W, C) into cols (B, Ho, Wo, k, k, C)."""
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+def _im2col(x: np.ndarray, cols: np.ndarray, stride: int, col_stride: int) -> None:
+    """Copy the kh x kw windows of x (B, H, W, C) into cols (B, Ho, Wo, kh, kw, C):
+    window (r, q) has its top-left corner at (r * stride, q * col_stride)."""
+    kh, kw = cols.shape[3:5]
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::col_stride]
     np.copyto(cols, win.transpose(0, 1, 2, 4, 5, 3))
 
 
@@ -94,7 +96,8 @@ class Layer:
     ``forward(x, lp)`` returns the output and the cache that ``backward``
     needs; ``backward(dy, cache, lp, need_dx)`` returns the gradient w.r.t.
     the input (None unless ``need_dx``) and the parameter gradients (None for
-    a stateless layer).
+    a stateless layer).  ``infer(x, lp)`` returns forward's output alone, for
+    inference, which keeps no cache.
     """
 
     tag: ClassVar[str]
@@ -107,6 +110,9 @@ class Layer:
 
     def param_shapes(self, in_shape: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         return None
+
+    def infer(self, x: np.ndarray, lp: LayerParams | None) -> np.ndarray:
+        return self.forward(x, lp)[0]
 
 
 @dataclass(frozen=True)
@@ -133,11 +139,35 @@ class Conv(Layer):
         # matmul gives y, and in backward one gives dw and the bias gradient
         # (ones @ dy) together.
         cols = np.empty((b * ho * wo, k * k * c + 1))
-        _im2col(x, cols[:, :-1].reshape(b, ho, wo, k, k, c), k, s)
+        _im2col(x, cols[:, :-1].reshape(b, ho, wo, k, k, c), s, s)
         cols[:, -1] = 1.0
         weights = np.hstack([_kernel_matrix(lp.weight), lp.bias[:, None]])
         y = (cols @ weights.T).reshape(b, ho, wo, o)
         return y, (cols, x.shape)
+
+    def infer(self, x, lp):
+        """forward's output.  When the output width is even, one im2col row
+        holds the k x (k + s) union of two neighbouring windows, and the
+        kernel sits in a (2O, k(k+s)C + 1) matrix at column offset 0 for the
+        left output and s for the right one, zeros elsewhere, the bias last.
+        That is half forward's rows, a smaller copy and a wider product, and
+        each output sums the same nonzero terms in the same order.  Two
+        outputs per input tile as in Lavin & Gray's F(2, 3) (CVPR 2016), but
+        without their transforms, which would move rounding."""
+        b, h, w, c = x.shape
+        o, k, s = self.out_channels, self.kernel, self.stride
+        ho, wo = (h - k) // s + 1, (w - k) // s + 1
+        if wo % 2:
+            return self.forward(x, lp)[0]
+        rows = np.empty((b * ho * (wo // 2), k * (k + s) * c + 1))
+        _im2col(x, rows[:, :-1].reshape(b, ho, wo // 2, k, k + s, c), s, 2 * s)
+        rows[:, -1] = 1.0
+        weights = np.zeros((2, o, rows.shape[1]))
+        kernels = weights[:, :, :-1].reshape(2, o, k, k + s, c)
+        kernels[0, :, :, :k] = kernels[1, :, :, s:] = lp.weight.transpose(0, 2, 3, 1)
+        weights[:, :, -1] = lp.bias
+        # row (b, r, q) holds outputs (r, 2q) then (r, 2q + 1), all O channels each
+        return (rows @ weights.reshape(2 * o, -1).T).reshape(b, ho, wo, o)
 
     def backward(self, dy, cache, lp, need_dx):
         cols, x_shape = cache
@@ -503,13 +533,19 @@ def _check_batch(spec: NetSpec, batch: np.ndarray) -> np.ndarray:
 def forward(spec: NetSpec, params: NetParams, batch: np.ndarray, tap: Tap = Tap.HEAD) -> np.ndarray:
     """Activations at the requested tap for a batch.  Pure and reentrant.
 
-    Runs the layers up to the tap only, and keeps no activation or backward
-    cache beyond the layer that needs it."""
+    Runs the layers up to the tap only, through ``Layer.infer``, and keeps no
+    activation beyond the layer that needs it.  A relu directly followed by a
+    max-pool runs after it, on 1/k^2 as many values: relu is nondecreasing,
+    so the max commutes with it and the output is unchanged."""
     batch = _check_batch(spec, batch)
     index = spec.tap_index(tap)
+    steps = list(zip(spec.layers[:index], params.layers[:index]))
+    for i in range(len(steps) - 1):
+        if isinstance(steps[i][0], Relu) and isinstance(steps[i + 1][0], MaxPool):
+            steps[i], steps[i + 1] = steps[i + 1], steps[i]
     x = np.ascontiguousarray(batch.transpose(0, 2, 3, 1))
-    for layer, lp in zip(spec.layers[:index], params.layers[:index]):
-        x = layer.forward(x, lp)[0]
+    for layer, lp in steps:
+        x = layer.infer(x, lp)
     return x
 
 

@@ -58,7 +58,7 @@ def fuse_batch(base_feats: np.ndarray, subset_feats: np.ndarray, chosen: np.ndar
     if subset_feats.ndim != 3 or subset_feats.shape[0] != base_feats.shape[0]:
         raise ShapeError("subset features must be (B, K, D) aligned with base features")
     b, k, d = subset_feats.shape
-    chosen = np.asarray(chosen, dtype=np.int64)
+    chosen = numkit.as_ints(chosen, "chosen")
     if chosen.shape != (b,) or (chosen.size and (chosen.min() < 0 or chosen.max() >= k)):
         raise ContractError("chosen indices must be (B,) values in [0, K)")
     mask = np.zeros((b, k))

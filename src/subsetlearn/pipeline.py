@@ -359,7 +359,8 @@ def metrics_from_predictions(y_true, y_pred, n_classes: int) -> Metrics:
 
 
 # Images per inference forward.  At 64 a 16 x 16 input's first-conv im2col
-# rows take 2.8 MiB (11 MiB at 256), and a forward is no slower per image.
+# rows take about 1.8 MiB (7.1 MiB at 256), and a forward is no slower per
+# image.
 FORWARD_CHUNK = 64
 
 

@@ -189,7 +189,7 @@ def extract_subset_features(ensemble: SubsetEnsemble, images: np.ndarray, chosen
     Each net runs once, on the rows routed to it, and a net no row chose does
     not run.  The blocks left zero are the ones max voting zeroes.
     """
-    chosen = np.asarray(chosen, dtype=np.int64)
+    chosen = numkit.as_ints(chosen, "chosen")
     if chosen.shape != (images.shape[0],) or (
         chosen.size and (chosen.min() < 0 or chosen.max() >= ensemble.k)
     ):

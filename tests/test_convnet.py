@@ -62,6 +62,27 @@ def strided_spec(class_count=3):
     )
 
 
+def paired_stride_spec(class_count=3):
+    """A 2x2 stride-2 conv with 4 outputs over an even output width, then a
+    2x2 conv over an even one: inference pairs the output columns of both."""
+    return NetSpec(
+        layers=(
+            Conv(4, 2, 2),
+            Relu(),
+            MaxPool(2, 2),
+            Conv(3, 2, 1),
+            Relu(),
+            Flatten(),
+            Fc(5),
+            Relu(),
+            Fc(class_count),
+            Softmax(),
+        ),
+        input_shape=(2, 12, 12),
+        class_count=class_count,
+    )
+
+
 def params_equal(a: NetParams, b: NetParams) -> bool:
     for la, lb in zip(a.layers, b.layers):
         if (la is None) != (lb is None):
@@ -335,7 +356,11 @@ def maxpool_oracle(x, k, stride, dy):
 
 
 class TestKernels:
-    @pytest.mark.parametrize("k,stride,h,w", [(3, 2, 11, 9), (2, 2, 9, 7), (3, 1, 7, 6)])
+    # output widths 4, 3, 4, 5 and 4: infer pairs the output columns of the
+    # even ones, including a stride above the kernel, whose windows leave gaps
+    @pytest.mark.parametrize(
+        "k,stride,h,w", [(3, 2, 11, 9), (2, 2, 9, 7), (3, 1, 7, 6), (3, 1, 6, 7), (2, 3, 8, 11)]
+    )
     def test_conv_matches_loop_oracle(self, k, stride, h, w):
         rng = np.random.default_rng(k * 100 + h)
         x = rng.normal(size=(3, 4, h, w))
@@ -346,6 +371,7 @@ class TestKernels:
         ref_y, ref_dx, ref_dw, ref_db = conv_oracle(x, lp.weight, lp.bias, stride, dy)
         dx, grads = layer.backward(nhwc(dy), cache, lp, True)
         np.testing.assert_allclose(nchw(y), ref_y, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(nchw(layer.infer(nhwc(x), lp)), ref_y, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(nchw(dx), ref_dx, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(grads.weight, ref_dw, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(grads.bias, ref_db, rtol=1e-12, atol=1e-12)
@@ -379,6 +405,79 @@ class TestKernels:
         ref_y, ref_dx = maxpool_oracle(x, k, stride, dy)
         assert np.array_equal(nchw(y), ref_y)
         assert np.array_equal(nchw(layer.backward(nhwc(dy), cache, None, True)[0]), ref_dx)
+
+
+def training_activations(spec, params, batch):
+    """[input] + every layer's output of the Layer.forward chain that
+    loss_and_grads runs, the index space of NetSpec.tap_index."""
+    x = nhwc(batch)
+    outs = [x]
+    for layer, lp in zip(spec.layers, params.layers):
+        x = layer.forward(x, lp)[0]
+        outs.append(x)
+    return outs
+
+
+class TestInference:
+    """convnet.forward (Conv.infer, relu after max-pool) against training's
+    forward chain."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    def test_default_spec_matches_training_bit_for_bit(self, batch):
+        spec = convnet.default_spec((3, 16, 16), 12)
+        for seed in range(3):
+            params = convnet.init_params(spec, Rng(seed))
+            x = Rng(10 + seed).normal((batch,) + spec.input_shape)
+            outs = training_activations(spec, params, x)
+            for tap in Tap:
+                assert convnet.forward(spec, params, x, tap).tobytes() == outs[spec.tap_index(tap)].tobytes()
+
+    @pytest.mark.parametrize(
+        "make_spec", [tiny_spec, strided_spec, paired_stride_spec], ids=["tiny", "strided", "paired-stride"]
+    )
+    def test_matches_training(self, make_spec):
+        spec = make_spec()
+        params = convnet.init_params(spec, Rng(3))
+        for batch in (1, 7, 64):
+            x = Rng(batch).normal((batch,) + spec.input_shape)
+            outs = training_activations(spec, params, x)
+            for tap in Tap:
+                np.testing.assert_allclose(
+                    convnet.forward(spec, params, x, tap), outs[spec.tap_index(tap)], rtol=1e-12, atol=1e-12
+                )
+
+    @pytest.mark.parametrize("k,stride", [(2, 2), (3, 2)], ids=["disjoint-2-2", "overlapping-3-2"])
+    def test_relu_after_the_pool_is_bit_identical(self, monkeypatch, k, stride):
+        # an identity 1x1 conv hands the input to relu -> max-pool unchanged
+        spec = NetSpec(
+            layers=(Conv(2, 1, 1), Relu(), MaxPool(k, stride), Flatten(), Fc(3), Fc(2), Softmax()),
+            input_shape=(2, 8, 8),
+            class_count=2,
+        )
+        layers = list(convnet.init_params(spec, Rng(0)).layers)
+        layers[0] = LayerParams(np.eye(2).reshape(2, 2, 1, 1), np.zeros(2))
+        params = NetParams(tuple(layers))
+        x = Rng(1).integers(-3, 3, (3, 2, 8, 8)).astype(float)  # many ties, at zero too
+        x[0, :, :5, :5] = -1.0 - Rng(2).integers(0, 4, (2, 5, 5))  # all-negative windows
+        x[1, 1] = -2.0  # a channel of tied negative maxima
+        x[2, 0, :, ::2] = 2.0  # windows tied at a positive max
+        x[2, 1] = -1.0
+        x[2, 1, ::2, ::2] = 0.0  # windows tied at a zero max
+        pooled = MaxPool(k, stride).forward(nhwc(x), None)[0]
+        assert (pooled < 0).any() and (pooled == 0).any()
+        relu_inputs = []
+        relu_forward = Relu.forward
+
+        def recording(self, y, lp):
+            relu_inputs.append(y.shape)
+            return relu_forward(self, y, lp)
+
+        monkeypatch.setattr(Relu, "forward", recording)
+        outs = training_activations(spec, params, x)
+        relu_inputs.clear()
+        for tap in Tap:
+            assert convnet.forward(spec, params, x, tap).tobytes() == outs[spec.tap_index(tap)].tobytes()
+        assert relu_inputs[0] == pooled.shape
 
 
 class TestTrain:

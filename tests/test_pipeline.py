@@ -413,7 +413,8 @@ def label_inputs():
     )
 
 
-# Each entry point that takes class labels, called with fractional ones.
+# Each entry point that takes class labels or index arrays, called with
+# fractional ones.
 FRACTIONAL_LABEL_CALLS = {
     "convnet.fit": lambda d: convnet.fit(d["images"], d["labels"] + 0.7, 4, d["cfg"], 0),
     "convnet.loss_and_grads": lambda d: convnet.loss_and_grads(
@@ -428,6 +429,11 @@ FRACTIONAL_LABEL_CALLS = {
         d["cmap"], d["images"], d["labels"] + 0.5, d["net"], d["cfg"]
     ),
     "pipeline.metrics_from_predictions": lambda d: metrics_from_predictions([0.5, 1.7], [0, 1], 2),
+    "fusion.fuse_batch": lambda d: fusion.fuse_batch(np.ones((2, 3)), np.ones((2, 2, 3)), [0.7, 1.2]),
+    "subset.extract_subset_features": lambda d: subset.extract_subset_features(
+        subset.SubsetEnsemble(k=2, nets=(d["net"], d["net"])), d["images"][:2], [0.7, 1.2]
+    ),
+    "cluster.silhouette_score": lambda d: cluster.silhouette_score(d["feats"][:4], [0.2, 0.9, 1.5, 1.1]),
 }
 
 
