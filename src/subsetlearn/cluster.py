@@ -27,17 +27,23 @@ class LdaModel:
 
     projection: np.ndarray  # (D, d)
     global_mean: np.ndarray  # (D,)
-    out_dim: int
     eigenvalues: np.ndarray  # (d,) Fisher ratios, descending
+
+    @property
+    def out_dim(self) -> int:
+        return self.projection.shape[1]
 
 
 @dataclass(frozen=True)
 class KMeansModel:
     centroids: np.ndarray  # (k, d)
     inertia: float
-    k: int
     seed: int
     inertia_trace: tuple[float, ...] = field(default=())
+
+    @property
+    def k(self) -> int:
+        return self.centroids.shape[0]
 
 
 @dataclass(frozen=True)
@@ -45,17 +51,18 @@ class ClassClusterMap:
     """Maps each original class index to its subset index in [0, k)."""
 
     class_to_subset: np.ndarray
-    k: int
 
     def __post_init__(self):
         m = numkit.as_ints(self.class_to_subset, "subset indices")
         object.__setattr__(self, "class_to_subset", m)
         if m.ndim != 1 or m.size == 0:
             raise ShapeError("class_to_subset must be a nonempty 1-d array")
-        if m.min() < 0 or m.max() >= self.k:
-            raise ContractError("subset indices must lie in [0, k)")
-        if len(np.unique(m)) != self.k:
-            raise ContractError("every subset must contain at least one class")
+        if m.min() < 0 or len(np.unique(m)) != self.k:
+            raise ContractError("subset indices must be 0..k-1, every subset holding a class")
+
+    @property
+    def k(self) -> int:
+        return int(self.class_to_subset.max()) + 1
 
 
 @dataclass(frozen=True)
@@ -140,7 +147,6 @@ def lda_fit(features: np.ndarray, labels, out_dim: int, ridge: float | None = No
     return LdaModel(
         projection=np.ascontiguousarray(projection),
         global_mean=mu,
-        out_dim=out_dim,
         eigenvalues=eigenvalues[:out_dim].copy(),
     )
 
@@ -279,7 +285,6 @@ def kmeans_fit(
     return KMeansModel(
         centroids=np.ascontiguousarray(centroids),
         inertia=float(inertia),
-        k=k,
         seed=seed,
         inertia_trace=tuple(trace),
     )
@@ -334,7 +339,7 @@ def precluster_classes(
         donor = int(np.argmax(d))
         assignment[donor] = empty
         present = np.bincount(assignment, minlength=k)
-    cmap = ClassClusterMap(class_to_subset=assignment, k=k)
+    cmap = ClassClusterMap(class_to_subset=assignment)
     sizes = tuple(int(v) for v in np.bincount(assignment, minlength=k))
     tap_name = tap_used.value if isinstance(tap_used, Tap) else str(tap_used)
     report = TapReport(tap=tap_name, silhouette=silhouette_score(means, assignment), cluster_sizes=sizes)

@@ -319,11 +319,10 @@ def layer_from_json(entry) -> Layer:
 
 @dataclass(frozen=True)
 class NetSpec:
-    """Architecture description: ordered layers plus input shape and head size."""
+    """Architecture description: ordered layers plus input shape."""
 
     layers: tuple[Layer, ...]
     input_shape: tuple[int, int, int]  # channels, height, width
-    class_count: int
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -333,8 +332,6 @@ class NetSpec:
     def validate(self) -> None:
         if len(self.input_shape) != 3 or any(v <= 0 for v in self.input_shape):
             raise ShapeError(f"input_shape must be positive (C, H, W), got {self.input_shape}")
-        if self.class_count < 1:
-            raise ContractError("class_count must be >= 1")
         if not self.layers or not isinstance(self.layers[-1], Softmax):
             raise ContractError("the last layer must be softmax")
         if sum(isinstance(l, Softmax) for l in self.layers) != 1:
@@ -352,12 +349,11 @@ class NetSpec:
                 raise ContractError("conv/maxpool layers must come before flatten")
             if isinstance(layer, Fc) and i < flat_idx:
                 raise ContractError("fc layers must come after flatten")
-        last_fc = self.layers[self.head_index()]
-        if last_fc.out_dim != self.class_count:
-            raise ContractError(
-                f"final fc out_dim {last_fc.out_dim} must equal class_count {self.class_count}"
-            )
         self.layer_shapes()  # raises if any intermediate extent is non-positive
+
+    @property
+    def class_count(self) -> int:
+        return self.layers[self.head_index()].out_dim
 
     def flatten_index(self) -> int:
         return next(i for i, l in enumerate(self.layers) if isinstance(l, Flatten))
@@ -414,7 +410,6 @@ def default_spec(input_shape: tuple[int, int, int] = (3, 16, 16), class_count: i
             Softmax(),
         ),
         input_shape=input_shape,
-        class_count=class_count,
     )
 
 
@@ -665,7 +660,7 @@ def reinit_head(
     head = spec.head_index()
     new_layers = list(spec.layers)
     new_layers[head] = Fc(new_class_count)
-    new_spec = NetSpec(tuple(new_layers), spec.input_shape, new_class_count)
+    new_spec = NetSpec(tuple(new_layers), spec.input_shape)
     new_params = list(params.layers)
     new_params[head] = _fan_in_init(new_spec.param_shapes()[head], rng)
     return new_spec, NetParams(tuple(new_params))

@@ -389,23 +389,46 @@ class ModelBundle:
     provenance: dict
 
     def validate(self) -> None:
-        try:
-            base_dim = self.base.spec.tap_dim(Tap.FC_PENULTIMATE)
-            if self.lda.projection.shape[0] != base_dim:
-                raise ContractError("lda width does not match the base feature tap")
-            if self.kmeans.centroids.shape[1] != self.lda.out_dim:
-                raise ContractError("kmeans centroid width does not match the lda output")
-            if not (self.cluster_map.k == self.kmeans.k == self.ensemble.k):
-                raise ContractError("cluster map, kmeans and ensemble disagree on k")
-            self.ensemble.validate()
-            if self.ensemble.selector is None:
-                raise ContractError("bundle requires a trained selector")
-            if self.svm.weights.shape[1] != fused_width(self.base, self.ensemble):
-                raise ContractError("svm width does not match the fused feature width")
-            if self.svm.weights.shape[0] != self.cluster_map.class_to_subset.size:
-                raise ContractError("svm class count does not match the cluster map")
-        except ContractError as exc:
-            raise InvariantError(str(exc)) from exc
+        """Check every array's shape against four sizes read off the arrays: the
+        base tap width D, the LDA width d (columns of lda/projection), k (subset
+        nets) and C (rows of svm/weights); InvariantError names the first misfit."""
+        nets, selector, svm = self.ensemble.nets, self.ensemble.selector, self.svm
+        if not nets or selector is None:
+            raise InvariantError("bundle requires at least one subset net and a trained selector")
+        if self.lda.projection.ndim != 2 or svm.weights.ndim != 2:
+            raise InvariantError("lda/projection and svm/weights must be matrices")
+        base = self.base.spec
+        big_d, d, k, c = base.tap_dim(Tap.FC_PENULTIMATE), self.lda.out_dim, len(nets), svm.weights.shape[0]
+        sizes, tap_width = np.bincount(self.cluster_map.class_to_subset, minlength=k), self.ensemble.feature_dim
+        table = [
+            ("lda/projection", self.lda.projection.shape, (big_d, d)),
+            ("lda/global_mean", self.lda.global_mean.shape, (big_d,)),
+            ("lda/eigenvalues", self.lda.eigenvalues.shape, (d,)),
+            ("kmeans/centroids", self.kmeans.centroids.shape, (k, d)),
+            ("cluster/class_to_subset", self.cluster_map.class_to_subset.shape, (c,)),
+            ("cluster map subsets", self.cluster_map.k, k),
+        ]
+        for j, net in enumerate(nets):
+            table += [
+                (f"subset {j} head", net.spec.class_count, sizes[j]),
+                (f"subset {j} tap width", net.spec.tap_dim(Tap.FC_PENULTIMATE), tap_width),
+                (f"subset {j} input", net.spec.input_shape, base.input_shape),
+            ]
+        if isinstance(selector, NetSelector):
+            table += [
+                ("selector head", selector.net.spec.class_count, k),
+                ("selector input", selector.net.spec.input_shape, base.input_shape),
+            ]
+        else:
+            table.append(("selector kmeans/centroids", selector.kmeans.centroids.shape, (k, d)))
+        table += [
+            ("svm/weights", svm.weights.shape, (c, fused_width(self.base, self.ensemble))),
+            ("svm/biases", svm.biases.shape, (c,)),
+            ("svm/checkpoint_objectives", svm.checkpoint_objectives.shape, (len(svm.checkpoint_epochs), c)),
+        ]
+        for name, got, expected in table:
+            if got != expected:
+                raise InvariantError(f"{name} is {got}, expected {expected}")
 
     @property
     def selector_kind(self) -> str:
@@ -605,18 +628,16 @@ def evaluate_feature_svm(net: Network, dataset: DatasetHandle, epochs: int = fus
 
 def _spec_to_json(spec: NetSpec) -> dict:
     layers = [layer.to_json() for layer in spec.layers]
-    return {"input": list(spec.input_shape), "classes": spec.class_count, "layers": layers}
+    return {"input": list(spec.input_shape), "layers": layers}
 
 
 def _spec_from_json(obj: dict) -> NetSpec:
     try:
         layers = tuple(convnet.layer_from_json(entry) for entry in obj["layers"])
-        shape, classes = obj["input"], obj["classes"]
+        shape = obj["input"]
         if not (isinstance(shape, list) and len(shape) == 3 and all(type(v) is int for v in shape)):
             raise ContractError(f"input must be a list of 3 integers, got {shape!r}")
-        if type(classes) is not int:
-            raise ContractError(f"classes must be an integer, got {classes!r}")
-        return NetSpec(layers, tuple(shape), classes)
+        return NetSpec(layers, tuple(shape))
     except (KeyError, TypeError, ValueError, ContractError, ShapeError) as exc:
         raise InvariantError(f"malformed network description: {exc}") from exc
 
@@ -707,13 +728,10 @@ def save_bundle(path, bundle: ModelBundle) -> None:
     selector, selector_kind = bundle.ensemble.selector, bundle.selector_kind
     meta = {
         "kind": "bundle",
-        "k": bundle.ensemble.k,
-        "tap": Tap.FC_PENULTIMATE.value,
         "selector": selector_kind,
         "base_spec": _spec_to_json(bundle.base.spec),
         "subset_specs": [_spec_to_json(net.spec) for net in bundle.ensemble.nets],
         "selector_spec": _spec_to_json(selector.net.spec) if selector_kind == "network" else None,
-        "lda_out_dim": bundle.lda.out_dim,
         "kmeans_seed": bundle.kmeans.seed,
         "svm_lambda": bundle.svm.lam,
         "svm_checkpoint_epochs": list(bundle.svm.checkpoint_epochs),
@@ -738,6 +756,8 @@ def save_bundle(path, bundle: ModelBundle) -> None:
 
 
 def load_bundle(path) -> ModelBundle:
+    """Read a bundle written by save_bundle.  Older files also hold "k", "tap",
+    "lda_out_dim" and each net's "classes", which the arrays give; they are ignored."""
     tensors, meta = container.read_container(path)
     try:
         info = json.loads(meta)
@@ -748,9 +768,6 @@ def load_bundle(path) -> ModelBundle:
     if info.get("kind") != "bundle":
         raise InvariantError(f"{path}: not a bundle container")
     try:
-        k = _json_int(info["k"], "k")
-        if info["tap"] != Tap.FC_PENULTIMATE.value:
-            raise InvariantError(f"{path}: subset feature tap must be {Tap.FC_PENULTIMATE.value!r}")
         provenance = info["provenance"]
         if not isinstance(provenance, dict):
             raise InvariantError(f"{path}: provenance must be a JSON object")
@@ -762,24 +779,19 @@ def load_bundle(path) -> ModelBundle:
         lda = LdaModel(
             projection=tensors["lda/projection"],
             global_mean=tensors["lda/global_mean"],
-            out_dim=_json_int(info["lda_out_dim"], "lda_out_dim"),
             eigenvalues=tensors["lda/eigenvalues"],
         )
-        cmap = ClassClusterMap(
-            class_to_subset=_int_tensor(path, tensors, "cluster/class_to_subset", np.int64),
-            k=k,
-        )
+        cmap = ClassClusterMap(_int_tensor(path, tensors, "cluster/class_to_subset", np.int64))
         kmeans = KMeansModel(
             centroids=tensors["kmeans/centroids"],
             inertia=float(tensors["kmeans/inertia"]),
-            k=k,
             seed=_json_int(info["kmeans_seed"], "kmeans_seed"),
         )
         nets = []
         for i, spec_obj in enumerate(info["subset_specs"]):
             spec_i = _spec_from_json(spec_obj)
             nets.append(Network(spec_i, _params_from_tensors(f"subset/{i}", spec_i, tensors)))
-        ensemble = SubsetEnsemble(k=k, nets=tuple(nets))
+        ensemble = SubsetEnsemble(nets=tuple(nets))
         if info["selector"] == "network":
             spec_s = _spec_from_json(info["selector_spec"])
             ensemble.selector = NetSelector(

@@ -61,24 +61,12 @@ Selector = CentroidSelector | NetSelector
 class SubsetEnsemble:
     """k subset nets, each contributing its Tap.FC_PENULTIMATE feature, and the selector."""
 
-    k: int
     nets: tuple[Network, ...]
     selector: Selector | None = None
 
-    def validate(self, class_counts: tuple[int, ...] | None = None) -> None:
-        if self.k != len(self.nets) or self.k < 1:
-            raise ContractError("ensemble must hold exactly k nets")
-        dims = {net.spec.tap_dim(Tap.FC_PENULTIMATE) for net in self.nets}
-        if len(dims) != 1:
-            raise ContractError("all subset nets must share the tap dimensionality")
-        if class_counts is not None:
-            for net, c in zip(self.nets, class_counts):
-                if net.spec.class_count != c:
-                    raise ContractError("subset net head size must equal its subset class count")
-        if isinstance(self.selector, CentroidSelector) and self.selector.kmeans.k != self.k:
-            raise ContractError("centroid selector k must match the ensemble")
-        if isinstance(self.selector, NetSelector) and self.selector.net.spec.class_count != self.k:
-            raise ContractError("selector net head size must match the ensemble")
+    @property
+    def k(self) -> int:
+        return len(self.nets)
 
     @property
     def feature_dim(self) -> int:
@@ -149,9 +137,7 @@ def train_subset_nets(
             nets = tuple(pool.map(_train_one, range(partition.k)))
     else:
         nets = tuple(_train_one(k) for k in range(partition.k))
-    ensemble = SubsetEnsemble(k=partition.k, nets=nets)
-    ensemble.validate(tuple(int(s.classes.size) for s in partition.subsets))
-    return ensemble
+    return SubsetEnsemble(nets=nets)
 
 
 def train_selector_net(

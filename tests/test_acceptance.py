@@ -65,7 +65,6 @@ def test_criterion_01_gradient_correctness():
             convnet.Softmax(),
         ),
         input_shape=(2, 8, 8),
-        class_count=3,
     )
     params = convnet.init_params(spec, Rng(7))
     batch = Rng(11).normal((4, 2, 8, 8))

@@ -251,11 +251,15 @@ def trained(run_cli, tmp_path_factory):
     return get
 
 
-def edited_bundle(src, dst, edit) -> None:
-    """Copy the bundle at src to dst with edit(metadata) applied to its JSON metadata."""
+def edited_bundle(src, dst, edit=None, tensor_edits=None) -> None:
+    """Copy the container at src to dst with edit(metadata) applied to its JSON
+    metadata and each tensor_edits[name] to tensor name; the CRC32 stays valid."""
     tensors, meta = container.read_container(src)
     info = json.loads(meta)
-    edit(info)
+    if edit is not None:
+        edit(info)
+    for name, change in (tensor_edits or {}).items():
+        tensors[name] = change(tensors[name])
     container.write_container(dst, tensors, json.dumps(info))
 
 
@@ -325,38 +329,39 @@ class TestEval:
             ("target.sfl", "class_names", "abcdefgh"),  # 8 "classes" would exit 4
             ("bundle-seed3.sfl", "base_spec", ["relu", 99]),
             ("bundle-seed3.sfl", "base_spec.input", [3, 16.7, 16]),
-            ("bundle-seed3.sfl", "base_spec.classes", True),
             ("bundle-seed3.sfl", "provenance", [1, 2]),
-            ("bundle-seed3.sfl", "k", 2.9),
-            ("bundle-seed3.sfl", "lda_out_dim", 3.0),
             ("bundle-seed3.sfl", "kmeans_seed", 1.5),
             ("bundle-seed3.sfl", "svm_checkpoint_epochs", [1.0]),
             ("bundle-seed3.sfl", "provenance", {"graph": "target-rt", "steps": 1, "seed": "abc", "k": 2,
                                                 "selector": "network"}),
-            ("bundle-seed3.sfl", "tap", "conv_last"),
+        ],
+        ids=[  # fixed, so each case keeps its name when the list changes
+            "target.sfl-class_names-abcdefgh",
+            "bundle-seed3.sfl-base_spec-value1",
+            "bundle-seed3.sfl-base_spec.input-value2",
+            "bundle-seed3.sfl-provenance-value4",
+            "bundle-seed3.sfl-kmeans_seed-1.5",
+            "bundle-seed3.sfl-svm_checkpoint_epochs-value8",
+            "bundle-seed3.sfl-provenance-value9",
         ],
     )
-    def test_malformed_description_exit_3(self, run_cli, tmp_path, config_file, which, key, value):
-        out = tmp_path / "out"
-        for command in ("train", "gen"):
-            done = run_cli("--out-dir", str(out), command, "--config", str(config_file), cwd=tmp_path)
-            assert done.returncode == 0, done.stderr
-        path = out / which
-        tensors, meta = container.read_container(path)
-        info = json.loads(meta)
-        if key == "base_spec":
-            info[key]["layers"][1] = value
-        elif key.startswith("base_spec."):
-            info["base_spec"][key.split(".")[1]] = value
-        else:
-            info[key] = value
-        container.write_container(path, tensors, json.dumps(info))
-        ev = tmp_path / "ev"
-        result = run_cli(
-            "--out-dir", str(ev), "eval", str(out / "bundle-seed3.sfl"), str(out / "target.sfl"), cwd=tmp_path
-        )
-        assert result.returncode == 3, result.stderr
-        assert not (ev / "metrics.csv").exists()
+    def test_malformed_description_exit_3(self, tmp_path, trained, which, key, value):
+        _, bundle, dataset = trained("network")
+        paths = {bundle.name: bundle, dataset.name: dataset}
+
+        def edit(info):
+            if key == "base_spec":
+                info[key]["layers"][1] = value
+            elif key.startswith("base_spec."):
+                info["base_spec"][key.split(".")[1]] = value
+            else:
+                info[key] = value
+
+        edited_bundle(paths[which], tmp_path / which, edit)
+        paths[which] = tmp_path / which
+        out = tmp_path / "ev"
+        assert cli.main(["--out-dir", str(out), "eval", str(paths[bundle.name]), str(paths[dataset.name])]) == 3
+        assert not (out / "metrics.csv").exists()
 
     @pytest.mark.parametrize(
         "tensor,offset,payload",
@@ -382,6 +387,24 @@ class TestEval:
         result = run_cli("--out-dir", str(ev), "eval", str(bundle_path), str(out / "target.sfl"), cwd=tmp_path)
         assert result.returncode == 3, result.stderr
         assert not (ev / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "name,edit,tensor_edits",
+        [
+            ("network", None, {"svm/biases": lambda t: t[:1]}),
+            ("three_stage_centroid", None, {"lda/global_mean": lambda t: t[:1]}),
+            ("three_stage_centroid", None, {"lda/projection": lambda t: np.hstack([t, t[:, :1]])}),
+            ("network", lambda info: info["selector_spec"].update(input=[3, 17, 17]), None),
+        ],
+        ids=["svm_biases_length_1", "lda_global_mean_length_1", "lda_projection_wider", "selector_input_17"],
+    )
+    def test_whole_tensor_edit_exit_3(self, tmp_path, trained, name, edit, tensor_edits):
+        _, bundle, dataset = trained(name)
+        edited = tmp_path / "edited.sfl"
+        edited_bundle(bundle, edited, edit, tensor_edits)
+        out = tmp_path / "ev"
+        assert cli.main(["--out-dir", str(out), "eval", str(edited), str(dataset)]) == 3
+        assert not (out / "metrics.csv").exists()
 
     @pytest.mark.parametrize("name,held,claimed", [
         ("network", "network", "centroid"),

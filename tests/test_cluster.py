@@ -89,7 +89,7 @@ class TestLda:
 
     def test_identity_projection_passthrough(self):
         model = cluster.LdaModel(
-            projection=np.eye(2), global_mean=np.zeros(2), out_dim=2, eigenvalues=np.ones(2)
+            projection=np.eye(2), global_mean=np.zeros(2), eigenvalues=np.ones(2)
         )
         x = np.random.default_rng(4).normal(size=(5, 2))
         assert np.allclose(lda_transform(model, x), x)
@@ -140,7 +140,7 @@ class TestLda:
 
     def test_width_mismatch(self):
         model = cluster.LdaModel(
-            projection=np.eye(2), global_mean=np.zeros(2), out_dim=2, eigenvalues=np.ones(2)
+            projection=np.eye(2), global_mean=np.zeros(2), eigenvalues=np.ones(2)
         )
         with pytest.raises(ShapeError):
             lda_transform(model, np.zeros((3, 4)))
@@ -206,7 +206,7 @@ class TestKMeans:
 
     def test_tie_breaks_to_lowest_index(self):
         model = cluster.KMeansModel(
-            centroids=np.array([[-1.0], [5.0], [1.0]]), inertia=0.0, k=3, seed=0
+            centroids=np.array([[-1.0], [5.0], [1.0]]), inertia=0.0, seed=0
         )
         assert kmeans_assign(model, np.array([[0.0]]))[0] == 0
 
@@ -283,12 +283,12 @@ class TestPrecluster:
 
     def test_map_rejects_empty_subset(self):
         with pytest.raises(ContractError):
-            ClassClusterMap(class_to_subset=np.array([0, 0, 0]), k=2)
+            ClassClusterMap(class_to_subset=np.array([0, 2, 2]))  # subset 1 holds no class
 
     def test_map_rejects_fractional_indices(self):
         with pytest.raises(ContractError, match="integers"):
-            ClassClusterMap(class_to_subset=np.array([0.0, 1.7, 0.2]), k=2)
-        assert ClassClusterMap(class_to_subset=np.array([0.0, 1.0, 0.0]), k=2).class_to_subset.tolist() == [0, 1, 0]
+            ClassClusterMap(class_to_subset=np.array([0.0, 1.7, 0.2]))
+        assert ClassClusterMap(class_to_subset=np.array([0.0, 1.0, 0.0])).class_to_subset.tolist() == [0, 1, 0]
 
     def test_report_csv_row(self):
         report = cluster.TapReport(tap="conv_last", silhouette=0.5, cluster_sizes=(2, 1, 3))

@@ -37,7 +37,6 @@ def tiny_spec(class_count=3):
             Softmax(),
         ),
         input_shape=(2, 8, 8),
-        class_count=class_count,
     )
 
 
@@ -58,7 +57,6 @@ def strided_spec(class_count=3):
             Softmax(),
         ),
         input_shape=(2, 13, 13),
-        class_count=class_count,
     )
 
 
@@ -79,7 +77,6 @@ def paired_stride_spec(class_count=3):
             Softmax(),
         ),
         input_shape=(2, 12, 12),
-        class_count=class_count,
     )
 
 
@@ -105,20 +102,11 @@ class TestSpecValidation:
         assert spec.tap_dim(Tap.FC_PENULTIMATE) == 64
         assert spec.tap_dim(Tap.HEAD) == 12
 
-    def test_head_must_match_class_count(self):
-        with pytest.raises(ContractError):
-            NetSpec(
-                layers=(Conv(1, 3), Relu(), Flatten(), Fc(4), Fc(5), Softmax()),
-                input_shape=(1, 8, 8),
-                class_count=3,
-            )
-
     def test_softmax_must_be_last(self):
         with pytest.raises(ContractError):
             NetSpec(
                 layers=(Conv(1, 3), Flatten(), Fc(4), Softmax(), Fc(3)),
                 input_shape=(1, 8, 8),
-                class_count=3,
             )
 
     def test_too_small_input_rejected(self):
@@ -126,7 +114,6 @@ class TestSpecValidation:
             NetSpec(
                 layers=(Conv(1, 5), Flatten(), Fc(4), Fc(2), Softmax()),
                 input_shape=(1, 4, 4),
-                class_count=2,
             )
 
 
@@ -139,7 +126,6 @@ class TestInit:
         spec = NetSpec(
             layers=(Conv(1, 3), Relu(), Flatten(), Fc(4), Relu(), Fc(3), Softmax()),
             input_shape=(1, 5, 5),
-            class_count=3,
         )
         params = convnet.init_params(spec, Rng(0))
         head = params.layers[5]
@@ -151,7 +137,6 @@ class TestInit:
         spec = NetSpec(
             layers=(Conv(1, 3), Relu(), Flatten(), Fc(256), Relu(), Fc(256), Softmax()),
             input_shape=(1, 18, 18),
-            class_count=256,
         )
         params = convnet.init_params(spec, Rng(5))
         block = params.layers[5].weight  # 256 x 256 fc
@@ -186,7 +171,6 @@ class TestForward:
         spec = NetSpec(
             layers=(Conv(1, 1), Relu(), Flatten(), Fc(2), Relu(), Fc(2), Softmax()),
             input_shape=(1, 2, 2),
-            class_count=2,
         )
         params = convnet.init_params(spec, Rng(0))
         layers = list(params.layers)
@@ -452,7 +436,6 @@ class TestInference:
         spec = NetSpec(
             layers=(Conv(2, 1, 1), Relu(), MaxPool(k, stride), Flatten(), Fc(3), Fc(2), Softmax()),
             input_shape=(2, 8, 8),
-            class_count=2,
         )
         layers = list(convnet.init_params(spec, Rng(0)).layers)
         layers[0] = LayerParams(np.eye(2).reshape(2, 2, 1, 1), np.zeros(2))

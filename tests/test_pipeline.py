@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from subsetlearn import cluster, convnet, fusion, pipeline, subset
+from subsetlearn import cluster, container, convnet, fusion, pipeline, subset
 from subsetlearn.convnet import Conv, Fc, Flatten, MaxPool, NetSpec, Relu, Softmax, Tap, TrainConfig
 from subsetlearn.errors import ContainerError, ContractError, InvariantError, ShapeError
 from subsetlearn.numkit import Rng
@@ -408,7 +408,7 @@ def label_inputs():
         labels=ds.labels[rows],
         net=net,
         feats=net.forward(images, Tap.FC_PENULTIMATE),
-        cmap=cluster.ClassClusterMap(np.array([0, 0, 1, 1]), k=2),
+        cmap=cluster.ClassClusterMap(np.array([0, 0, 1, 1])),
         cfg=TrainConfig(epochs=1, batch_size=16),
     )
 
@@ -431,7 +431,7 @@ FRACTIONAL_LABEL_CALLS = {
     "pipeline.metrics_from_predictions": lambda d: metrics_from_predictions([0.5, 1.7], [0, 1], 2),
     "fusion.fuse_batch": lambda d: fusion.fuse_batch(np.ones((2, 3)), np.ones((2, 2, 3)), [0.7, 1.2]),
     "subset.extract_subset_features": lambda d: subset.extract_subset_features(
-        subset.SubsetEnsemble(k=2, nets=(d["net"], d["net"])), d["images"][:2], [0.7, 1.2]
+        subset.SubsetEnsemble(nets=(d["net"], d["net"])), d["images"][:2], [0.7, 1.2]
     ),
     "cluster.silhouette_score": lambda d: cluster.silhouette_score(d["feats"][:4], [0.2, 0.9, 1.5, 1.1]),
 }
@@ -712,8 +712,6 @@ class TestPersistence:
             load_bundle(path)
 
     def test_shape_tampered_bundle_rejected_at_load(self, tmp_path, tiny_bundle):
-        from subsetlearn import container
-
         _, bundle = tiny_bundle
         path = tmp_path / "bundle.sfl"
         save_bundle(path, bundle)
@@ -722,6 +720,73 @@ class TestPersistence:
         container.write_container(path, tensors, meta)
         with pytest.raises(InvariantError):
             load_bundle(path)
+
+    @pytest.mark.parametrize("which", ["tiny_bundle", "centroid_bundle"])
+    def test_every_shape_edit_rejected_at_load(self, request, tmp_path, which):
+        # the CRC32 of each edited file is valid, so only the bundle checks can refuse it
+        path, edited = tmp_path / "b.sfl", tmp_path / "edited.sfl"
+        save_bundle(path, request.getfixturevalue(which)[1])
+        tensors, meta = container.read_container(path)
+
+        def net_specs(info):
+            return [s for s in (info["base_spec"], *info["subset_specs"], info["selector_spec"]) if s]
+
+        edits = []
+        for name, t in tensors.items():
+            for axis in (0, -1):  # one more entry, a copy of the first; 0-d becomes (2,)
+                grown = np.concatenate([t, t.take([0], axis)], axis) if t.ndim else np.stack([t, t])
+                edits.append((f"{name} axis {axis}", {**tensors, name: grown}, meta))
+        for j in range(len(net_specs(json.loads(meta)))):
+            # the default spec has the same parameter shapes at 17 as at 16
+            info = json.loads(meta)
+            net_specs(info)[j]["input"] = [3, 17, 17]
+            edits.append((f"net {j} input", tensors, json.dumps(info)))
+        loaded = []
+        for label, edited_tensors, edited_meta in edits:
+            container.write_container(edited, edited_tensors, edited_meta)
+            try:
+                load_bundle(edited)
+            except InvariantError:
+                continue
+            loaded.append(label)
+        assert loaded == []
+
+    def test_subset_heads_must_match_the_cluster_map(self, tmp_path, tiny_bundle):
+        path = tmp_path / "b.sfl"
+        save_bundle(path, tiny_bundle[1])
+        tensors, meta = container.read_container(path)
+        m = tensors["cluster/class_to_subset"].copy()
+        big = int(np.bincount(m.astype(int)).argmax())  # of 4 classes, so it keeps one
+        m[np.flatnonzero(m == big)[0]] = 1 - big  # the other of the 2 subsets
+        container.write_container(path, {**tensors, "cluster/class_to_subset": m}, meta)
+        with pytest.raises(InvariantError, match="head is"):
+            load_bundle(path)
+
+    @pytest.mark.parametrize("which", ["tiny_bundle", "centroid_bundle"])
+    def test_older_layout_loads_scores_and_resaves_new(self, request, tmp_path, which):
+        # older files also held k, tap, lda_out_dim and each net's classes
+        ds, bundle = request.getfixturevalue(which)
+        new, old, resaved = tmp_path / "new.sfl", tmp_path / "old.sfl", tmp_path / "resaved.sfl"
+        save_bundle(new, bundle)
+        tensors, meta = container.read_container(new)
+        info = json.loads(meta)
+        info.update(k=len(info["subset_specs"]), tap="fc_penultimate", lda_out_dim=tensors["lda/projection"].shape[1])
+        for spec in (info["base_spec"], *info["subset_specs"], info["selector_spec"]):
+            if spec:
+                spec["classes"] = [layer for layer in spec["layers"] if layer[0] == "fc"][-1][1]
+        container.write_container(old, tensors, json.dumps(info, sort_keys=True, separators=(",", ":")))
+        loaded = load_bundle(old)
+        a, b = evaluate(bundle, ds, "test"), evaluate(loaded, ds, "test")
+        assert (a.mean_accuracy, a.overall_accuracy) == (b.mean_accuracy, b.overall_accuracy)
+        assert np.array_equal(a.confusion, b.confusion)
+        rows = np.arange(ds.labels.size)  # both splits
+        preds = [
+            fusion.svm_predict_batch(x.svm, pipeline.fuse_dataset_features(x.base, x.ensemble, ds.images, rows))[0]
+            for x in (bundle, loaded)
+        ]
+        assert np.array_equal(*preds)
+        save_bundle(resaved, loaded)
+        assert resaved.read_bytes() == new.read_bytes() != old.read_bytes()
 
     def test_dataset_container_is_not_a_bundle(self, tmp_path):
         ds = generate_synthetic(**TINY)
@@ -813,12 +878,10 @@ class TestPersistence:
                 Fc(7), Relu(), Fc(3), Softmax(),
             ),
             input_shape=(2, 15, 13),
-            class_count=3,
         )
         obj = json.loads(json.dumps(pipeline._spec_to_json(spec)))
         assert obj == {
             "input": [2, 15, 13],
-            "classes": 3,
             "layers": [
                 ["conv", 5, 3, 2], ["relu"], ["maxpool", 3, 1], ["conv", 4, 2, 1], ["flatten"],
                 ["fc", 7], ["relu"], ["fc", 3], ["softmax"],
@@ -846,21 +909,10 @@ class TestPersistence:
         with pytest.raises(InvariantError, match="malformed network description"):
             pipeline._spec_from_json(obj)
 
-    @pytest.mark.parametrize(
-        "key,value",
-        [
-            ("input", [3, 16.7, 16]),
-            ("input", ["3", "16", "16"]),
-            ("input", [3, 16]),
-            ("input", "3x16x16"),
-            ("classes", 12.9),
-            ("classes", True),
-            ("classes", "12"),
-        ],
-    )
-    def test_malformed_input_or_classes_rejected(self, key, value):
+    @pytest.mark.parametrize("value", [[3, 16.7, 16], ["3", "16", "16"], [3, 16], "3x16x16"])
+    def test_malformed_input_rejected(self, value):
         obj = pipeline._spec_to_json(convnet.default_spec())
-        obj[key] = value
+        obj["input"] = value
         with pytest.raises(InvariantError, match="malformed network description"):
             pipeline._spec_from_json(obj)
 

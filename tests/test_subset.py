@@ -33,7 +33,7 @@ def base_net(toy_data):
 
 class TestBuildPartition:
     def test_two_subsets_of_two_classes(self):
-        cmap = ClassClusterMap(class_to_subset=np.array([0, 1, 0, 1]), k=2)
+        cmap = ClassClusterMap(class_to_subset=np.array([0, 1, 0, 1]))
         labels = np.array([0, 1, 2, 3, 0, 2, 1, 3])
         part = subset.build_partition(cmap, labels)
         assert part.k == 2
@@ -45,20 +45,20 @@ class TestBuildPartition:
         assert np.array_equal(part.subsets[0].local_labels, [0, 1, 0, 1])
 
     def test_single_subset_is_identity_up_to_reindex(self):
-        cmap = ClassClusterMap(class_to_subset=np.zeros(3, dtype=int), k=1)
+        cmap = ClassClusterMap(class_to_subset=np.zeros(3, dtype=int))
         labels = np.array([2, 0, 1, 2])
         part = subset.build_partition(cmap, labels)
         assert np.array_equal(part.subsets[0].rows, np.arange(4))
         assert np.array_equal(part.subsets[0].local_labels, labels)
 
     def test_sizes_sum_to_dataset(self):
-        cmap = ClassClusterMap(class_to_subset=np.array([0, 1, 2, 1]), k=3)
+        cmap = ClassClusterMap(class_to_subset=np.array([0, 1, 2, 1]))
         labels = np.repeat(np.arange(4), 7)
         part = subset.build_partition(cmap, labels)
         assert sum(part.sizes()) == labels.size
 
     def test_membership_stable_under_row_permutation(self):
-        cmap = ClassClusterMap(class_to_subset=np.array([0, 1, 0]), k=2)
+        cmap = ClassClusterMap(class_to_subset=np.array([0, 1, 0]))
         labels = np.array([0, 1, 2, 0, 1, 2, 0])
         part_a = subset.build_partition(cmap, labels)
         perm = np.array([6, 2, 5, 0, 3, 1, 4])
@@ -68,7 +68,7 @@ class TestBuildPartition:
             assert sorted(perm[sb.rows].tolist()) == sorted(sa.rows.tolist())
 
     def test_unmapped_class_error(self):
-        cmap = ClassClusterMap(class_to_subset=np.array([0, 1]), k=2)
+        cmap = ClassClusterMap(class_to_subset=np.array([0, 1]))
         with pytest.raises(ContractError):
             subset.build_partition(cmap, np.array([0, 1, 2]))
 
@@ -76,7 +76,7 @@ class TestBuildPartition:
 class TestTrainSubsetNets:
     def test_heads_match_subset_class_counts(self, toy_data, base_net):
         _, images, labels = toy_data
-        cmap = ClassClusterMap(class_to_subset=np.array([0, 0, 1, 1]), k=2)
+        cmap = ClassClusterMap(class_to_subset=np.array([0, 0, 1, 1]))
         part = subset.build_partition(cmap, labels)
         cfg = TrainConfig(epochs=1, batch_size=8, seed=5, learning_rate=0.002)
         ens = subset.train_subset_nets(part, images, base_net, cfg)
@@ -86,7 +86,7 @@ class TestTrainSubsetNets:
 
     def test_k1_collapses_to_single_finetune(self, toy_data, base_net):
         _, images, labels = toy_data
-        cmap = ClassClusterMap(class_to_subset=np.zeros(4, dtype=int), k=1)
+        cmap = ClassClusterMap(class_to_subset=np.zeros(4, dtype=int))
         part = subset.build_partition(cmap, labels)
         cfg = TrainConfig(epochs=2, batch_size=8, seed=7, learning_rate=0.002)
         ens = subset.train_subset_nets(part, images, base_net, cfg)
@@ -102,7 +102,7 @@ class TestTrainSubsetNets:
 
     def test_single_class_subset_warns_and_trains(self, toy_data, base_net, caplog):
         _, images, labels = toy_data
-        cmap = ClassClusterMap(class_to_subset=np.array([0, 1, 1, 1]), k=2)
+        cmap = ClassClusterMap(class_to_subset=np.array([0, 1, 1, 1]))
         part = subset.build_partition(cmap, labels)
         cfg = TrainConfig(epochs=1, batch_size=4, seed=2, learning_rate=0.002)
         with caplog.at_level(logging.WARNING, logger="subsetlearn.subset"):
@@ -112,7 +112,7 @@ class TestTrainSubsetNets:
 
     def test_reproducible_bit_exactly(self, toy_data, base_net):
         _, images, labels = toy_data
-        cmap = ClassClusterMap(class_to_subset=np.array([0, 1, 0, 1]), k=2)
+        cmap = ClassClusterMap(class_to_subset=np.array([0, 1, 0, 1]))
         part = subset.build_partition(cmap, labels)
         cfg = TrainConfig(epochs=2, batch_size=8, seed=11, learning_rate=0.002)
         a = subset.train_subset_nets(part, images, base_net, cfg)
@@ -124,7 +124,7 @@ class TestTrainSubsetNets:
 
     def test_workers_do_not_change_results(self, toy_data, base_net):
         _, images, labels = toy_data
-        cmap = ClassClusterMap(class_to_subset=np.array([0, 1, 0, 1]), k=2)
+        cmap = ClassClusterMap(class_to_subset=np.array([0, 1, 0, 1]))
         part = subset.build_partition(cmap, labels)
         cfg = TrainConfig(epochs=1, batch_size=8, seed=4, learning_rate=0.002)
         a = subset.train_subset_nets(part, images, base_net, cfg, workers=1)
@@ -182,7 +182,7 @@ class TestSubsetSpecialization:
 class TestSelectors:
     def test_selector_net_labels_and_softmax(self, toy_data, base_net):
         _, images, labels = toy_data
-        cmap = ClassClusterMap(class_to_subset=np.array([0, 0, 1, 1]), k=2)
+        cmap = ClassClusterMap(class_to_subset=np.array([0, 0, 1, 1]))
         cfg = TrainConfig(epochs=1, batch_size=8, seed=3, learning_rate=0.002)
         sel = subset.train_selector_net(cmap, images, labels, base_net, cfg)
         assert sel.net.spec.class_count == 2
@@ -191,7 +191,7 @@ class TestSelectors:
 
     def test_selector_net_beats_chance(self, toy_data, base_net):
         ds, images, labels = toy_data
-        cmap = ClassClusterMap(class_to_subset=np.array([0, 0, 1, 1]), k=2)
+        cmap = ClassClusterMap(class_to_subset=np.array([0, 0, 1, 1]))
         cfg = TrainConfig(epochs=15, batch_size=16, seed=3, learning_rate=0.01)
         sel = subset.train_selector_net(cmap, images, labels, base_net, cfg)
         te = ds.rows("test")
@@ -207,7 +207,7 @@ class TestSelectors:
 
     def test_select_single_image_decision(self, toy_data, base_net):
         ds, images, labels = toy_data
-        cmap = ClassClusterMap(class_to_subset=np.array([0, 0, 1, 1]), k=2)
+        cmap = ClassClusterMap(class_to_subset=np.array([0, 0, 1, 1]))
         cfg = TrainConfig(epochs=1, batch_size=8, seed=3, learning_rate=0.002)
         sel = subset.train_selector_net(cmap, images, labels, base_net, cfg)
         chosen = subset.select_batch(sel, images[:1], base_net.forward(images[:1], Tap.FC_PENULTIMATE))
@@ -231,7 +231,7 @@ class TestSelectors:
         # one subset per image: an integer index in [0, k), the same one an
         # image gets alone or inside a batch
         _, images, labels = toy_data
-        cmap = ClassClusterMap(class_to_subset=np.array([0, 1, 2, 0]), k=3)
+        cmap = ClassClusterMap(class_to_subset=np.array([0, 1, 2, 0]))
         cfg = TrainConfig(epochs=1, batch_size=8, seed=3, learning_rate=0.002)
         sel = subset.train_selector_net(cmap, images, labels, base_net, cfg)
         feats = base_net.forward(images, Tap.FC_PENULTIMATE)
@@ -250,7 +250,7 @@ class TestExtractSubsetFeatures:
     @pytest.fixture(scope="class")
     def ensemble(self, toy_data, base_net):
         _, images, labels = toy_data
-        cmap = ClassClusterMap(class_to_subset=np.array([0, 0, 1, 1]), k=2)
+        cmap = ClassClusterMap(class_to_subset=np.array([0, 0, 1, 1]))
         part = subset.build_partition(cmap, labels)
         cfg = TrainConfig(epochs=1, batch_size=8, seed=5, learning_rate=0.002)
         return subset.train_subset_nets(part, images, base_net, cfg)
@@ -287,7 +287,7 @@ class TestExtractSubsetFeatures:
 
     def test_identical_nets_identical_features(self, toy_data, base_net):
         _, images, _ = toy_data
-        ens = subset.SubsetEnsemble(k=2, nets=(base_net, base_net))
+        ens = subset.SubsetEnsemble(nets=(base_net, base_net))
         first = subset.extract_subset_features(ens, images[:4], np.zeros(4, dtype=np.int64))
         second = subset.extract_subset_features(ens, images[:4], np.ones(4, dtype=np.int64))
         assert np.array_equal(first[:, 0, :], second[:, 1, :])
