@@ -36,6 +36,7 @@ _GENERATOR_KEYS = {
     "seed": int,
 }
 
+
 @dataclass
 class RunConfig:
     seeds: tuple[int, ...]

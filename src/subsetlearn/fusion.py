@@ -171,11 +171,12 @@ def svm_train(
 
 def svm_predict_batch(model: SvmModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(predicted classes, scores W x + b) for a batch of feature rows; ties go
-    to the lowest class index."""
+    to the lowest class index.  A row's scores are the same bytes however
+    many rows share the call (numkit.invariant_matmul)."""
     features = numkit.as_matrix(features, "features")
     if features.shape[1] != model.weights.shape[1]:
         raise ShapeError(
             f"feature width {features.shape[1]} does not match model width {model.weights.shape[1]}"
         )
-    scores = features @ model.weights.T + model.biases
+    scores = numkit.invariant_matmul(features, model.weights.T) + model.biases
     return np.argmax(scores, axis=1), scores

@@ -16,6 +16,19 @@ from .errors import ContractError, NotPositiveDefiniteError, ShapeError
 # cholesky accept as symmetric.
 SYMMETRY_TOL = 1e-9
 
+# Output cells (rows x columns) at or below which OpenBLAS takes another
+# kernel path, so a product's rows round differently from the same rows
+# inside a larger product.  Measured with numpy 2.4.6 and scipy-openblas
+# 0.3.31 (DYNAMIC_ARCH) on an AVX-512 Xeon, with a's rows and b's columns
+# contiguous (b = W.T for an (N, K) weight matrix W): the rows of
+# (M, K) @ (K, N) differ from the same rows of a 2,400-row product exactly
+# when M * N <= 1,200, for K from 37 to 832 and N from 2 to 48 (M * N <= about
+# 500 at K = 2,000; at K <= 16 only M = 1, numpy's gemv).  Every M up to 2,400
+# was tried at K = 37 and 448.  A row-major b has another floor (M * N <=
+# 2,232 at K = 448).  tests/test_numkit.py checks the floor on the build it
+# runs on.
+INVARIANT_MIN_CELLS = 1200
+
 
 def derive_seed(seed: int, *keys: int) -> int:
     """Deterministically expand one seed into a per-component seed.
@@ -92,6 +105,26 @@ def as_ints(a, name: str = "labels") -> np.ndarray:
     if ints is None:
         raise ContractError(f"{name} must be integers")
     return ints
+
+
+def invariant_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-d a and b, each row's bytes independent of how many rows
+    a has.
+
+    The product runs in the layout the floor was measured on (a's rows and
+    b's columns contiguous; no copy for a weight matrix's W.T), on rows
+    padded with zeros until it has more than INVARIANT_MIN_CELLS cells, and
+    the padding is sliced off.  A one-column b is widened to two: numpy
+    sends it through gemv, whose rounding depends on a row's position at any
+    row count.
+    """
+    m, n = a.shape[0], b.shape[1]
+    a = np.ascontiguousarray(a)
+    b = np.asfortranarray(b if n > 1 else np.hstack([b, np.zeros_like(b)]))
+    rows = INVARIANT_MIN_CELLS // b.shape[1] + 1
+    if m < rows:
+        a = np.concatenate([a, np.zeros((rows - m, a.shape[1]), a.dtype)])
+    return (a @ b)[:m, :n]
 
 
 def _check_square_symmetric(a: np.ndarray, what: str) -> np.ndarray:

@@ -462,6 +462,7 @@ class SystemConfig:
             if value is not None and value < 1:
                 raise ContractError(f"{name} must be >= 1")
 
+
 def precluster(
     feats: np.ndarray, labels, tap: Tap | str, lda: LdaModel | None, k: int, seed: int, restarts: int
 ):
@@ -581,11 +582,16 @@ def _check_class_count(bundle: ModelBundle, dataset: DatasetHandle) -> None:
 
 
 def evaluate(bundle: ModelBundle, dataset: DatasetHandle, split: str = "test") -> Metrics:
-    """Classify one split with the bundle.  Pure: the bundle is never mutated."""
+    """Classify one split with the bundle, FORWARD_CHUNK images at a time:
+    each chunk is fused and scored before the next, so only one chunk's fused
+    features are held.  Pure: the bundle is never mutated."""
     _check_class_count(bundle, dataset)
     rows = dataset.rows(split)
-    fused = fuse_dataset_features(bundle.base, bundle.ensemble, dataset.images, rows)
-    preds, _ = fusion.svm_predict_batch(bundle.svm, fused)
+    preds = np.empty(rows.size, dtype=np.int64)
+    for i in range(0, rows.size, FORWARD_CHUNK):
+        chunk = rows[i : i + FORWARD_CHUNK]
+        fused = fuse_dataset_features(bundle.base, bundle.ensemble, dataset.images, chunk)
+        preds[i : i + chunk.size] = fusion.svm_predict_batch(bundle.svm, fused)[0]
     return metrics_from_predictions(dataset.labels[rows], preds, dataset.n_classes)
 
 

@@ -406,6 +406,25 @@ class TestEval:
         assert cli.main(["--out-dir", str(out), "eval", str(edited), str(dataset)]) == 3
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("which", ["bundle", "dataset"])
+    @pytest.mark.parametrize("cut", ["mid_header", "mid_payload", "in_crc"])
+    def test_truncated_file_exit_3(self, tmp_path, trained, capsys, which, cut):
+        _, bundle, dataset = trained("network")
+        paths = {"bundle": bundle, "dataset": dataset}
+        data = paths[which].read_bytes()
+        (meta_len,) = struct.unpack_from("<I", data, 8)
+        keep = {
+            "mid_header": 16 + meta_len // 2,  # inside the metadata block
+            "mid_payload": len(data) - 8,  # inside the last float of the last tensor
+            "in_crc": len(data) - 2,
+        }[cut]
+        paths[which] = tmp_path / f"{which}.sfl"
+        paths[which].write_bytes(data[:keep])
+        out = tmp_path / "ev"
+        assert cli.main(["--out-dir", str(out), "eval", str(paths["bundle"]), str(paths["dataset"])]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "metrics.csv").exists()
+
     @pytest.mark.parametrize("name,held,claimed", [
         ("network", "network", "centroid"),
         ("three_stage_centroid", "centroid", "network"),

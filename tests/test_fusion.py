@@ -340,3 +340,20 @@ class TestSvmPredict:
         a, _ = fusion.svm_predict_batch(model, fused)
         b, _ = fusion.svm_predict_batch(model, scaled)
         assert np.array_equal(a, b)
+
+    def test_scores_do_not_depend_on_batch_mates(self):
+        # eval-k6's sizes: 24 classes on 448-wide fused rows
+        rng = np.random.default_rng(8)
+        model = fusion.SvmModel(
+            weights=rng.normal(size=(24, 448)),
+            biases=rng.normal(size=24),
+            lam=1.0,
+            checkpoint_epochs=(1,),
+            checkpoint_objectives=np.ones((1, 24)),
+        )
+        x = rng.normal(size=(2400, 448))
+        preds, scores = fusion.svm_predict_batch(model, x)
+        for start, m in [(0, 1), (1234, 1), (2399, 1), (0, 7), (1000, 7), (2393, 7)]:
+            got_preds, got_scores = fusion.svm_predict_batch(model, x[start : start + m])
+            assert got_scores.tobytes() == scores[start : start + m].tobytes()
+            assert np.array_equal(got_preds, preds[start : start + m])

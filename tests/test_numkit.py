@@ -99,3 +99,40 @@ class TestRng:
             Rng(0).weighted_index([0.0, 0.0])
         with pytest.raises(ContractError):
             Rng(0).weighted_index([1.0, -1.0])
+
+
+class TestInvariantMatmul:
+    @pytest.mark.parametrize("k", [5, 37, 64, 448])
+    def test_rows_match_a_large_product(self, k):
+        # a row's bytes must not depend on how many rows share the product:
+        # every row count from 1 to past the floor, at the start, inside and
+        # at the end of a 2,400-row product
+        rng = np.random.default_rng(k)
+        a = rng.normal(size=(2400, k))
+        for n in (2, 3, 4, 6, 12, 24, 48):
+            b = rng.normal(size=(n, k)).T  # a transposed view, as the SVM's weights
+            whole = a @ b
+            for m in range(1, numkit.INVARIANT_MIN_CELLS // n + 4):
+                for start in (0, 7, 2400 - m):
+                    got = numkit.invariant_matmul(a[start : start + m], b)
+                    assert got.shape == (m, n)
+                    assert got.tobytes() == whole[start : start + m].tobytes(), (k, n, m, start)
+
+    def test_row_major_b_takes_the_measured_layout(self):
+        # a row-major b has another floor; the helper takes it column-major
+        rng = np.random.default_rng(2)
+        a, b = rng.normal(size=(2400, 448)), rng.normal(size=(448, 24))
+        whole = numkit.invariant_matmul(a, b)
+        assert whole.tobytes() == (a @ np.asfortranarray(b)).tobytes()
+        for m in (1, 50, 51, 93, 94):
+            assert numkit.invariant_matmul(a[7 : 7 + m], b).tobytes() == whole[7 : 7 + m].tobytes()
+
+    def test_one_column_is_widened(self):
+        # numpy sends a one-column product through gemv at any row count
+        rng = np.random.default_rng(1)
+        a, b = rng.normal(size=(2400, 64)), rng.normal(size=(64, 1))
+        whole = numkit.invariant_matmul(a, b)
+        assert whole.shape == (2400, 1)
+        assert np.abs(whole - a @ b).max() <= 1e-12
+        for m in (1, 7, 600, 601, 1000):
+            assert numkit.invariant_matmul(a[7 : 7 + m], b).tobytes() == whole[7 : 7 + m].tobytes()

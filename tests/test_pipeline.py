@@ -7,6 +7,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsetlearn import cluster, container, convnet, fusion, pipeline, subset
 from subsetlearn.convnet import Conv, Fc, Flatten, MaxPool, NetSpec, Relu, Softmax, Tap, TrainConfig
@@ -63,6 +65,17 @@ def header_offsets(data: bytes) -> list[int]:
 def tiny_bundle():
     ds = generate_synthetic(**TINY)
     return ds, build_system(ds, config=TINY_SYSTEM)
+
+
+@pytest.fixture(scope="module")
+def saved_files(tiny_bundle, tmp_path_factory):
+    """{"bundle": bytes, "dataset": bytes}: tiny_bundle as save_bundle and
+    save_dataset write it."""
+    ds, bundle = tiny_bundle
+    out = tmp_path_factory.mktemp("saved")
+    save_bundle(out / "bundle.sfl", bundle)
+    save_dataset(out / "dataset.sfl", ds)
+    return {kind: (out / f"{kind}.sfl").read_bytes() for kind in ("bundle", "dataset")}
 
 
 class TestGenerateSynthetic:
@@ -627,24 +640,49 @@ class TestRoutedInference:
             ("base", 4), ("selector", 4), ("subset0", 4),
         ]
 
-
-    def test_evaluate_holds_one_chunk_of_images(self, tiny_bundle):
-        # 2,400 test images take 14 MiB: a copy of the split would not fit
+    def test_evaluate_holds_one_chunk_of_images(self, monkeypatch, tiny_bundle):
+        # 2,400 test images take 14 MiB and their fused rows 3.5 MiB: evaluate
+        # must hold neither whole, only one chunk's work, so its peak does not
+        # grow with the split
         ds, bundle = tiny_bundle
-        te = np.resize(ds.rows("test"), 2400)
-        data = pipeline.DatasetHandle(
-            images=ds.images[te], labels=ds.labels[te], split=np.full(te.size, pipeline.TEST, np.uint8),
-            class_names=ds.class_names,
+
+        def test_split(n):
+            te = np.resize(ds.rows("test"), n)
+            return pipeline.DatasetHandle(
+                images=ds.images[te], labels=ds.labels[te], split=np.full(te.size, pipeline.TEST, np.uint8),
+                class_names=ds.class_names,
+            )
+
+        def traced_peak(call, *args):
+            tracemalloc.start()
+            try:
+                call(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        data, twice = test_split(2400), test_split(4800)
+        chunk = test_split(pipeline.FORWARD_CHUNK)
+        one_chunk = traced_peak(
+            pipeline.fuse_dataset_features, bundle.base, bundle.ensemble, chunk.images, chunk.rows("test")
         )
-        fused_bytes = 8 * te.size * bundle.svm.weights.shape[1]
-        tracemalloc.start()
-        try:
-            evaluate(bundle, data, "test")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(evaluate, bundle, data, "test")
         assert data.images.nbytes > 8 << 20
-        assert peak < fused_bytes + (8 << 20)
+        assert 8 * data.images.shape[0] * bundle.svm.weights.shape[1] > 3 << 20
+        assert peak < one_chunk + (512 << 10)
+        assert abs(traced_peak(evaluate, bundle, twice, "test") - peak) < 512 << 10
+
+        made = []
+
+        def recording(y_true, y_pred, n_classes):
+            made.append(y_pred)
+            return metrics_from_predictions(y_true, y_pred, n_classes)
+
+        monkeypatch.setattr(pipeline, "metrics_from_predictions", recording)
+        evaluate(bundle, data, "test")
+        fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, data.images, data.rows("test"))
+        assert made[0].dtype == np.int64
+        assert np.array_equal(made[0], fusion.svm_predict_batch(bundle.svm, fused)[0])
 
 
 class TestPersistence:
@@ -854,22 +892,19 @@ class TestPersistence:
             load_dataset(path)
 
     @pytest.mark.parametrize("kind", ["bundle", "dataset"])
-    def test_byte_edits_raise_only_container_errors(self, tmp_path, tiny_bundle, kind):
-        ds, bundle = tiny_bundle
-        path = tmp_path / f"{kind}.sfl"
-        save_bundle(path, bundle) if kind == "bundle" else save_dataset(path, ds)
-        load = load_bundle if kind == "bundle" else load_dataset
-        clean = path.read_bytes()
-        rng = np.random.default_rng(2024)
-        for offset in rng.choice(header_offsets(clean), size=300):
-            data = bytearray(clean)
-            data[offset] = int(rng.integers(256))
-            data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])))  # so the body is parsed
-            path.write_bytes(bytes(data))
-            try:
-                load(path)
-            except ContainerError:
-                pass
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_byte_edits_raise_only_container_errors(self, tmp_path_factory, saved_files, kind, data):
+        clean = saved_files[kind]
+        edited = bytearray(clean)
+        edited[data.draw(st.sampled_from(header_offsets(clean)))] = data.draw(st.integers(0, 255))
+        edited[-4:] = struct.pack("<I", zlib.crc32(bytes(edited[:-4])))  # so the body is parsed
+        path = tmp_path_factory.getbasetemp() / f"edited-{kind}.sfl"
+        path.write_bytes(bytes(edited))
+        try:
+            (load_bundle if kind == "bundle" else load_dataset)(path)
+        except ContainerError:
+            pass
 
     def test_layer_json_round_trip(self):
         spec = NetSpec(
