@@ -16,6 +16,8 @@ Three named feature taps are exposed:
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar
@@ -97,7 +99,9 @@ class Layer:
     needs; ``backward(dy, cache, lp, need_dx)`` returns the gradient w.r.t.
     the input (None unless ``need_dx``) and the parameter gradients (None for
     a stateless layer).  ``infer(x, lp)`` returns forward's output alone, for
-    inference, which keeps no cache.
+    inference, which keeps no cache; conv and fc run it through
+    ``numkit.invariant_matmul``, so a row's bytes do not depend on its batch
+    and equal forward's on a batch whose products are over the floor.
     """
 
     tag: ClassVar[str]
@@ -146,28 +150,30 @@ class Conv(Layer):
         return y, (cols, x.shape)
 
     def infer(self, x, lp):
-        """forward's output.  When the output width is even, one im2col row
-        holds the k x (k + s) union of two neighbouring windows, and the
-        kernel sits in a (2O, k(k+s)C + 1) matrix at column offset 0 for the
-        left output and s for the right one, zeros elsewhere, the bias last.
-        That is half forward's rows, a smaller copy and a wider product, and
-        each output sums the same nonzero terms in the same order.  Two
-        outputs per input tile as in Lavin & Gray's F(2, 3) (CVPR 2016), but
-        without their transforms, which would move rounding."""
+        """forward's output, p = 2 outputs per im2col row for an even output
+        width and p = 1 for an odd one.  A row holds the k x (k + (p-1)s)
+        union of p neighbouring windows, and the kernel sits in a
+        (pO, k(k + (p-1)s)C + 1) matrix at column offset j*s for output j,
+        zeros elsewhere, the bias last.  Each output sums the same nonzero
+        terms in the same order as forward, and the product is
+        ``numkit.invariant_matmul``, so its rows do not depend on the batch.
+        Two outputs per input tile as in Lavin & Gray's F(2, 3) (CVPR 2016),
+        but without their transforms, which would move rounding."""
         b, h, w, c = x.shape
         o, k, s = self.out_channels, self.kernel, self.stride
         ho, wo = (h - k) // s + 1, (w - k) // s + 1
-        if wo % 2:
-            return self.forward(x, lp)[0]
-        rows = np.empty((b * ho * (wo // 2), k * (k + s) * c + 1))
-        _im2col(x, rows[:, :-1].reshape(b, ho, wo // 2, k, k + s, c), s, 2 * s)
+        p = 2 - wo % 2
+        span = k + (p - 1) * s
+        rows = np.empty((b * ho * (wo // p), k * span * c + 1))
+        _im2col(x, rows[:, :-1].reshape(b, ho, wo // p, k, span, c), s, p * s)
         rows[:, -1] = 1.0
-        weights = np.zeros((2, o, rows.shape[1]))
-        kernels = weights[:, :, :-1].reshape(2, o, k, k + s, c)
-        kernels[0, :, :, :k] = kernels[1, :, :, s:] = lp.weight.transpose(0, 2, 3, 1)
+        weights = np.zeros((p, o, rows.shape[1]))
+        kernels = weights[:, :, :-1].reshape(p, o, k, span, c)
+        for j in range(p):
+            kernels[j, :, :, j * s : j * s + k] = lp.weight.transpose(0, 2, 3, 1)
         weights[:, :, -1] = lp.bias
-        # row (b, r, q) holds outputs (r, 2q) then (r, 2q + 1), all O channels each
-        return (rows @ weights.reshape(2 * o, -1).T).reshape(b, ho, wo, o)
+        # row (b, r, q) holds outputs (r, pq) to (r, pq + p - 1), all O channels each
+        return numkit.invariant_matmul(rows, weights.reshape(p * o, -1).T).reshape(b, ho, wo, o)
 
     def backward(self, dy, cache, lp, need_dx):
         cols, x_shape = cache
@@ -275,6 +281,9 @@ class Fc(Layer):
     def forward(self, x, lp):
         return x @ lp.weight.T + lp.bias, x
 
+    def infer(self, x, lp):
+        return numkit.invariant_matmul(x, lp.weight.T) + lp.bias
+
     def backward(self, dy, x, lp, need_dx):
         return (dy @ lp.weight if need_dx else None), LayerParams(dy.T @ x, dy.sum(axis=0))
 
@@ -349,7 +358,7 @@ class NetSpec:
                 raise ContractError("conv/maxpool layers must come before flatten")
             if isinstance(layer, Fc) and i < flat_idx:
                 raise ContractError("fc layers must come after flatten")
-        self.layer_shapes()  # raises if any intermediate extent is non-positive
+        self.layer_shapes  # raises if any intermediate extent is non-positive
 
     @property
     def class_count(self) -> int:
@@ -362,18 +371,33 @@ class NetSpec:
         """Index of the final fc layer (the classification head)."""
         return max(i for i, l in enumerate(self.layers) if isinstance(l, Fc))
 
-    def layer_shapes(self) -> list[tuple[int, ...]]:
+    @functools.cached_property
+    def layer_shapes(self) -> tuple[tuple[int, ...], ...]:
         """Output shape after each layer, excluding the batch axis."""
         shapes: list[tuple[int, ...]] = []
         cur: tuple[int, ...] = self.input_shape
         for layer in self.layers:
             cur = layer.out_shape(cur)
             shapes.append(cur)
-        return shapes
+        return tuple(shapes)
+
+    @functools.cached_property
+    def input_extent(self) -> tuple[int, int]:
+        """(H, W) of the input's top-left corner that reaches the flatten
+        layer: walking back from it, a conv or max-pool with n needed outputs
+        needs (n - 1) * stride + kernel inputs (Araujo, Norris & Sim,
+        "Computing Receptive Fields of Convolutional Neural Networks",
+        Distill 2019).  Floor division in the windows drops the rest."""
+        flat = self.flatten_index()
+        extent = self.layer_shapes[flat - 1][1:]
+        for layer in reversed(self.layers[:flat]):
+            if isinstance(layer, (Conv, MaxPool)):
+                extent = tuple((n - 1) * layer.stride + layer.kernel for n in extent)
+        return extent
 
     def param_shapes(self) -> list[tuple[tuple[int, ...], tuple[int, ...]] | None]:
         """Per layer: (weight shape, bias shape) for parametric layers, else None."""
-        in_shapes = [self.input_shape] + self.layer_shapes()
+        in_shapes = (self.input_shape,) + self.layer_shapes
         return [layer.param_shapes(s) for layer, s in zip(self.layers, in_shapes)]
 
     def tap_index(self, tap: Tap) -> int:
@@ -389,8 +413,7 @@ class NetSpec:
         return index
 
     def tap_dim(self, tap: Tap) -> int:
-        shapes = [self.input_shape] + self.layer_shapes()
-        return int(np.prod(shapes[self.tap_index(tap)]))
+        return math.prod(((self.input_shape,) + self.layer_shapes)[self.tap_index(tap)])
 
 
 def default_spec(input_shape: tuple[int, int, int] = (3, 16, 16), class_count: int = 12) -> NetSpec:
@@ -529,16 +552,21 @@ def forward(spec: NetSpec, params: NetParams, batch: np.ndarray, tap: Tap = Tap.
     """Activations at the requested tap for a batch.  Pure and reentrant.
 
     Runs the layers up to the tap only, through ``Layer.infer``, and keeps no
-    activation beyond the layer that needs it.  A relu directly followed by a
-    max-pool runs after it, on 1/k^2 as many values: relu is nondecreasing,
-    so the max commutes with it and the output is unchanged."""
+    activation beyond the layer that needs it.  The batch is cropped to
+    ``spec.input_extent`` first: valid windows on a top-left crop give
+    exactly the top-left outputs that reach the flatten layer.  A relu
+    directly followed by a max-pool runs after it, on 1/k^2 as many values:
+    relu is nondecreasing, so the max commutes with it and the output is
+    unchanged.  Every product is batch-invariant, so an image's result does
+    not depend on its batch-mates."""
     batch = _check_batch(spec, batch)
+    h, w = spec.input_extent
     index = spec.tap_index(tap)
     steps = list(zip(spec.layers[:index], params.layers[:index]))
     for i in range(len(steps) - 1):
         if isinstance(steps[i][0], Relu) and isinstance(steps[i + 1][0], MaxPool):
             steps[i], steps[i + 1] = steps[i + 1], steps[i]
-    x = np.ascontiguousarray(batch.transpose(0, 2, 3, 1))
+    x = np.ascontiguousarray(batch[:, :, :h, :w].transpose(0, 2, 3, 1))
     for layer, lp in steps:
         x = layer.infer(x, lp)
     return x

@@ -93,7 +93,7 @@ def params_equal(a: NetParams, b: NetParams) -> bool:
 class TestSpecValidation:
     def test_default_spec_shapes(self):
         spec = convnet.default_spec((3, 16, 16), 12)
-        shapes = spec.layer_shapes()
+        shapes = spec.layer_shapes
         assert shapes[0] == (8, 14, 14)
         assert shapes[2] == (8, 7, 7)
         assert shapes[3] == (16, 5, 5)
@@ -403,18 +403,65 @@ def training_activations(spec, params, batch):
 
 
 class TestInference:
-    """convnet.forward (Conv.infer, relu after max-pool) against training's
-    forward chain."""
+    """convnet.forward (input crop, Conv.infer, Fc.infer, relu after max-pool)
+    against training's forward chain.
+
+    Byte equality holds over the floor: every inference product is
+    batch-invariant, while training's products round as rows of a large
+    product only when they have more than INVARIANT_MIN_CELLS cells, so the
+    reference is training's forward on a batch that contains the test rows
+    and puts every product over the floor."""
 
     @pytest.mark.parametrize("batch", [1, 7, 64])
     def test_default_spec_matches_training_bit_for_bit(self, batch):
         spec = convnet.default_spec((3, 16, 16), 12)
         for seed in range(3):
             params = convnet.init_params(spec, Rng(seed))
-            x = Rng(10 + seed).normal((batch,) + spec.input_shape)
+            x = Rng(10 + seed).normal((256,) + spec.input_shape)
             outs = training_activations(spec, params, x)
+            rows = slice(100, 100 + batch)
             for tap in Tap:
-                assert convnet.forward(spec, params, x, tap).tobytes() == outs[spec.tap_index(tap)].tobytes()
+                ref = outs[spec.tap_index(tap)]
+                assert convnet.forward(spec, params, x[rows], tap).tobytes() == ref[rows].tobytes()
+
+    def test_batch_sizes_give_the_same_bytes(self):
+        spec = convnet.default_spec((3, 16, 16), 12)
+        params = convnet.init_params(spec, Rng(4))
+        x = Rng(14).normal((64,) + spec.input_shape)
+        for tap in Tap:
+            whole = convnet.forward(spec, params, x, tap)
+            for batch in (1, 7):
+                for start in (0, 30, 64 - batch):
+                    part = convnet.forward(spec, params, x[start : start + batch], tap)
+                    assert part.tobytes() == whole[start : start + batch].tobytes(), (tap, batch, start)
+
+    def test_input_extent_is_what_reaches_flatten(self):
+        # 16 -> conv3 14 -> pool2 7 -> conv3 5 -> pool2 2: pool 2 reads 4 of
+        # conv2's 5 outputs, so 6 of pool 1's 7, 12 of conv1's 14, and 14 inputs
+        assert convnet.default_spec((3, 16, 16), 12).input_extent == (14, 14)
+        assert convnet.default_spec((3, 17, 15), 12).input_extent == (14, 14)
+        assert tiny_spec().input_extent == (8, 8)  # nothing dropped
+        assert strided_spec().input_extent == (11, 11)
+        assert paired_stride_spec().input_extent == (12, 12)
+
+    def test_cropped_pixels_are_never_read(self, monkeypatch):
+        spec = convnet.default_spec((3, 16, 16), 12)
+        params = convnet.init_params(spec, Rng(5))
+        x = Rng(15).normal((7,) + spec.input_shape)
+        dirty = x.copy()
+        dirty[:, :, 14:] = np.nan
+        dirty[:, :, :, 14:] = np.nan
+        conv_inputs = []
+        conv_infer = Conv.infer
+
+        def recording(self, y, lp):
+            conv_inputs.append(y.shape)
+            return conv_infer(self, y, lp)
+
+        monkeypatch.setattr(Conv, "infer", recording)
+        for tap in Tap:
+            assert convnet.forward(spec, params, dirty, tap).tobytes() == convnet.forward(spec, params, x, tap).tobytes()
+        assert conv_inputs[:2] == [(7, 14, 14, 3), (7, 6, 6, 8)]
 
     @pytest.mark.parametrize(
         "make_spec", [tiny_spec, strided_spec, paired_stride_spec], ids=["tiny", "strided", "paired-stride"]
@@ -440,7 +487,10 @@ class TestInference:
         layers = list(convnet.init_params(spec, Rng(0)).layers)
         layers[0] = LayerParams(np.eye(2).reshape(2, 2, 1, 1), np.zeros(2))
         params = NetParams(tuple(layers))
-        x = Rng(1).integers(-3, 3, (3, 2, 8, 8)).astype(float)  # many ties, at zero too
+        # 601 rows put the Fc(2) head's product over the floor; the designed
+        # rows are the first 3
+        big = Rng(1).integers(-3, 3, (601, 2, 8, 8)).astype(float)  # many ties, at zero too
+        x = big[:3]
         x[0, :, :5, :5] = -1.0 - Rng(2).integers(0, 4, (2, 5, 5))  # all-negative windows
         x[1, 1] = -2.0  # a channel of tied negative maxima
         x[2, 0, :, ::2] = 2.0  # windows tied at a positive max
@@ -456,10 +506,10 @@ class TestInference:
             return relu_forward(self, y, lp)
 
         monkeypatch.setattr(Relu, "forward", recording)
-        outs = training_activations(spec, params, x)
+        outs = training_activations(spec, params, big)
         relu_inputs.clear()
         for tap in Tap:
-            assert convnet.forward(spec, params, x, tap).tobytes() == outs[spec.tap_index(tap)].tobytes()
+            assert convnet.forward(spec, params, x, tap).tobytes() == outs[spec.tap_index(tap)][:3].tobytes()
         assert relu_inputs[0] == pooled.shape
 
 

@@ -101,22 +101,39 @@ class TestRng:
             Rng(0).weighted_index([1.0, -1.0])
 
 
+def check_rows_match_a_large_product(a, b):
+    """A row's bytes must not depend on how many rows share the product:
+    every row count from 1 to past the floor, at the start, inside and at the
+    end of the product over all 2,400 rows of a."""
+    (k, n), whole = b.shape, a @ b
+    for m in range(1, numkit.INVARIANT_MIN_CELLS // n + 4):
+        for start in (0, 7, 2400 - m):
+            got = numkit.invariant_matmul(a[start : start + m], b)
+            assert got.shape == (m, n)
+            assert got.tobytes() == whole[start : start + m].tobytes(), (k, n, m, start)
+
+
 class TestInvariantMatmul:
     @pytest.mark.parametrize("k", [5, 37, 64, 448])
     def test_rows_match_a_large_product(self, k):
-        # a row's bytes must not depend on how many rows share the product:
-        # every row count from 1 to past the floor, at the start, inside and
-        # at the end of a 2,400-row product
         rng = np.random.default_rng(k)
         a = rng.normal(size=(2400, k))
         for n in (2, 3, 4, 6, 12, 24, 48):
             b = rng.normal(size=(n, k)).T  # a transposed view, as the SVM's weights
-            whole = a @ b
-            for m in range(1, numkit.INVARIANT_MIN_CELLS // n + 4):
-                for start in (0, 7, 2400 - m):
-                    got = numkit.invariant_matmul(a[start : start + m], b)
-                    assert got.shape == (m, n)
-                    assert got.tobytes() == whole[start : start + m].tobytes(), (k, n, m, start)
+            check_rows_match_a_large_product(a, b)
+
+    @pytest.mark.parametrize(
+        "k,n",
+        [(37, 16), (97, 32), (28, 8), (73, 16), (64, 64), (64, 6), (64, 12), (64, 24)],
+        ids=["paired-conv1", "paired-conv2", "one-window-conv1", "one-window-conv2",
+             "fc1", "head-6", "head-12", "head-24"],
+    )
+    def test_net_products_match_a_large_product(self, k, n):
+        # the default spec's inference products: im2col rows plus the bias
+        # column against 2 or 1 windows' kernels, the hidden fc and the heads
+        rng = np.random.default_rng(k * n)
+        a = rng.normal(size=(2400, k))
+        check_rows_match_a_large_product(a, rng.normal(size=(n, k)).T)  # a layer's W.T
 
     def test_row_major_b_takes_the_measured_layout(self):
         # a row-major b has another floor; the helper takes it column-major

@@ -587,11 +587,11 @@ class TestRoutedInference:
             fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, ds.images, rows)
             ref = all_k_reference(bundle, images)
             assert fused.shape == ref.shape
-            assert np.abs(fused - ref).max() <= 1e-12
+            assert fused.tobytes() == ref.tobytes()
             preds, scores = fusion.svm_predict_batch(bundle.svm, fused)
             ref_preds, ref_scores = fusion.svm_predict_batch(bundle.svm, ref)
             assert np.array_equal(preds, ref_preds)
-            assert np.abs(scores - ref_scores).max() <= 1e-12
+            assert scores.tobytes() == ref_scores.tobytes()
 
     @pytest.mark.parametrize("which,per_image", [("tiny_bundle", 3), ("centroid_bundle", 2)])
     def test_one_subset_forward_per_image(self, request, monkeypatch, which, per_image):
@@ -630,7 +630,7 @@ class TestRoutedInference:
         monkeypatch.setattr(subset, "select_batch", routed)
         fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, data.images, data.rows("test"))
         ref = all_k_reference(bundle, data.images, np.concatenate([designed[full], designed[4]]))
-        assert np.abs(fused - ref).max() <= 1e-12
+        assert fused.tobytes() == ref.tobytes()
         assert np.array_equal(fusion.svm_predict_batch(bundle.svm, fused)[0],
                               fusion.svm_predict_batch(bundle.svm, ref)[0])
         calls = count_forward_images(monkeypatch, bundle)
@@ -639,6 +639,30 @@ class TestRoutedInference:
             ("base", full), ("selector", full), ("subset0", full - 1), ("subset1", 1),
             ("base", 4), ("selector", 4), ("subset0", 4),
         ]
+
+    @pytest.mark.parametrize("which", ["tiny_bundle", "centroid_bundle"])
+    def test_batch_mates_do_not_change_an_image(self, request, monkeypatch, which):
+        # an image alone, in a shuffled split and in chunks of 1, 7 and 64
+        # gets the same fused row, scores and prediction
+        ds, bundle = request.getfixturevalue(which)
+        te = ds.rows("test")
+
+        def scored(rows):
+            fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, ds.images, rows)
+            preds, scores = fusion.svm_predict_batch(bundle.svm, fused)
+            return fused, scores, preds
+
+        ref = scored(te)
+        alone = [scored(te[i : i + 1]) for i in range(te.size)]
+        for got, want in zip(zip(*alone), ref):
+            assert np.concatenate(got).tobytes() == want.tobytes()
+        order = Rng(3).permutation(te.size)
+        for got, want in zip(scored(te[order]), ref):
+            assert got.tobytes() == want[order].tobytes()
+        for chunk in (1, 7, 64):
+            monkeypatch.setattr(pipeline, "FORWARD_CHUNK", chunk)
+            for got, want in zip(scored(te), ref):
+                assert got.tobytes() == want.tobytes()
 
     def test_evaluate_holds_one_chunk_of_images(self, monkeypatch, tiny_bundle):
         # 2,400 test images take 14 MiB and their fused rows 3.5 MiB: evaluate
