@@ -27,7 +27,7 @@ from .pipeline import (
     save_bundle,
     save_dataset,
 )
-from .subset import SubsetEnsemble, SubsetPartition
+from .subset import SubsetEnsemble
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "StageGraph",
     "StageSpec",
     "SubsetEnsemble",
-    "SubsetPartition",
     "SvmModel",
     "SystemConfig",
     "Tap",

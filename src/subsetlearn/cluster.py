@@ -85,18 +85,19 @@ def _class_stats(features: np.ndarray, labels: np.ndarray):
     return classes, inverse, counts, means
 
 
-def lda_fit(features: np.ndarray, labels, out_dim: int, ridge: float | None = None) -> LdaModel:
+def lda_fit(features: np.ndarray, labels, out_dim: int) -> LdaModel:
     """Fit multi-class LDA by solving the generalized eigenproblem of
-    between-class versus (ridge-regularized) within-class scatter.
+    between-class versus ridge-regularized within-class scatter.
 
     Parameters
     ----------
     features : (N, D) array
     labels : (N,) class indices, at least two distinct
     out_dim : number of discriminant directions, at most min(D, C - 1)
-    ridge : value added to the diagonal of the within-class scatter.  None
-        picks 1e-3 * trace(S_w) / D; pass 0.0 to disable (raises
-        NotPositiveDefiniteError when the scatter is singular).
+
+    The ridge 1e-3 * trace(S_w) / D is added to the diagonal of the
+    within-class scatter S_w.  A zero scatter gets ridge 0 and raises
+    NotPositiveDefiniteError.
 
     Columns are sign-canonicalized (largest-magnitude component positive),
     ordered by descending Fisher ratio, and scaled by the square root of
@@ -125,12 +126,8 @@ def lda_fit(features: np.ndarray, labels, out_dim: int, ridge: float | None = No
     md = (means - mu) * np.sqrt(counts)[:, None]
     s_b = md.T @ md
 
-    if ridge is None:
-        ridge = 1e-3 * float(np.trace(s_w)) / d_in
-    if ridge < 0:
-        raise ContractError("ridge must be nonnegative")
-    if ridge > 0:
-        s_w = s_w + ridge * np.eye(d_in)
+    ridge = 1e-3 * float(np.trace(s_w)) / d_in
+    s_w = s_w + ridge * np.eye(d_in)
 
     lower = numkit.cholesky(s_w)
     half = np.linalg.solve(lower, s_b)

@@ -67,19 +67,11 @@ def fuse_batch(base_feats: np.ndarray, subset_feats: np.ndarray, chosen: np.ndar
     return np.concatenate([l2_normalize_rows(base_feats), subset_block.reshape(b, k * d)], axis=1)
 
 
-def svm_objective(w: np.ndarray, b: float, features: np.ndarray, y: np.ndarray, lam: float) -> float:
-    """Regularized mean hinge for one binary problem with labels in {-1, +1}.
-    The bias is unregularized."""
-    margins = y * (features @ w + b)
-    return float(np.maximum(0.0, 1.0 - margins).mean() + 0.5 * lam * (w @ w))
-
-
 def svm_train(
     features: np.ndarray,
     labels,
     lam: float = SVM_LAMBDA,
     epochs: int = SVM_EPOCHS,
-    fit_bias: bool = True,
 ) -> SvmModel:
     """Train C one-vs-all hinge classifiers (+1 for the class, -1 otherwise).
 
@@ -91,9 +83,9 @@ def svm_train(
     which makes the per-class objective non-increasing over checkpoints and
     never worse than the zero model.  The solver draws no random numbers.
 
-    An epoch costs two products with the features.  With ``fit_bias`` the
-    bias is the weight of a constant-one feature row, kept out of the weight
-    decay, the projection and the regularizer.  The scores of iterate t are
+    An epoch costs two products with the features.  The bias is the weight
+    of a constant-one feature row, kept out of the weight decay, the
+    projection and the regularizer.  The scores of iterate t are
     the margins of epoch t + 1 and are summed, so the averaged iterate's
     scores are that sum over t and need no product of their own.
     """
@@ -118,7 +110,7 @@ def svm_train(
     if not finite_rows.all():
         raise ContractError(f"features row {int(np.argmin(finite_rows))} is not finite")
 
-    rows = np.ones((d + int(fit_bias), n))  # features transposed, plus the bias row
+    rows = np.ones((d + 1, n))  # features transposed, plus the bias row
     rows[:d] = features.T
     regularized = np.zeros(rows.shape[0])  # 1 for a weight, 0 for the bias
     regularized[:d] = 1.0
@@ -162,7 +154,7 @@ def svm_train(
             recorded[checkpoints.index(t)] = best_obj
     return SvmModel(
         weights=best[:, :d].copy(),
-        biases=best[:, d].copy() if fit_bias else np.zeros(c),
+        biases=best[:, d].copy(),
         lam=float(lam),
         checkpoint_epochs=checkpoints,
         checkpoint_objectives=recorded,

@@ -20,7 +20,7 @@ from .convnet import NetParams, NetSpec, Network, Tap, TrainConfig
 from .errors import ContractError, InvariantError, ShapeError
 from .fusion import SvmModel
 from .numkit import Rng, derive_seed
-from .subset import CentroidSelector, NetSelector, SubsetEnsemble
+from .subset import CentroidSelector, SubsetEnsemble
 
 TRAIN, TEST = 0, 1
 _GLYPH = 5
@@ -227,8 +227,6 @@ def default_stage_graph(target: str, with_domain: bool) -> StageGraph:
 class StageResult:
     net: Network
     histories: list[list[float]]
-    name: str
-    steps: int
 
 
 def parse_stage_graph(text: str) -> StageGraph:
@@ -327,7 +325,7 @@ def run_stage_graph(
         )
         _cache_stage(key, net, history)
         histories.append(history)
-    return StageResult(net=net, histories=histories, name=graph.name, steps=graph.steps)
+    return StageResult(net=net, histories=histories)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +391,8 @@ class ModelBundle:
         base tap width D, the LDA width d (columns of lda/projection), k (subset
         nets) and C (rows of svm/weights); InvariantError names the first misfit."""
         nets, selector, svm = self.ensemble.nets, self.ensemble.selector, self.svm
-        if not nets or selector is None:
-            raise InvariantError("bundle requires at least one subset net and a trained selector")
+        if not nets:
+            raise InvariantError("bundle requires at least one subset net")
         if self.lda.projection.ndim != 2 or svm.weights.ndim != 2:
             raise InvariantError("lda/projection and svm/weights must be matrices")
         base = self.base.spec
@@ -414,10 +412,10 @@ class ModelBundle:
                 (f"subset {j} tap width", net.spec.tap_dim(Tap.FC_PENULTIMATE), tap_width),
                 (f"subset {j} input", net.spec.input_shape, base.input_shape),
             ]
-        if isinstance(selector, NetSelector):
+        if isinstance(selector, Network):
             table += [
-                ("selector head", selector.net.spec.class_count, k),
-                ("selector input", selector.net.spec.input_shape, base.input_shape),
+                ("selector head", selector.spec.class_count, k),
+                ("selector input", selector.spec.input_shape, base.input_shape),
             ]
         else:
             table.append(("selector kmeans/centroids", selector.kmeans.centroids.shape, (k, d)))
@@ -432,7 +430,7 @@ class ModelBundle:
 
     @property
     def selector_kind(self) -> str:
-        return "network" if isinstance(self.ensemble.selector, NetSelector) else "centroid"
+        return "network" if isinstance(self.ensemble.selector, Network) else "centroid"
 
 
 @dataclass(frozen=True)
@@ -525,8 +523,7 @@ def build_system(
     datasets = {"target": target, **(extra_datasets or {})}
     if graph is None:
         graph = default_stage_graph("target", "domain" in datasets)
-    stage = run_stage_graph(graph, datasets, config.train)
-    base = stage.net
+    base = run_stage_graph(graph, datasets, config.train).net
 
     rows = target.rows("train")
     images, labels = target.images[rows], target.labels[rows]
@@ -544,15 +541,16 @@ def build_system(
         epochs=config.subset_epochs,
         learning_rate=config.subset_lr,
     )
-    ensemble = subset.train_subset_nets(partition, images, base, subset_cfg, workers=workers)
+    nets = subset.train_subset_nets(partition, images, base, subset_cfg, workers=workers)
 
     if config.selector == "network":
         selector_cfg = config.train.for_run(
             derive_seed(config.train.seed, 301), finetune=True, epochs=config.selector_epochs
         )
-        ensemble.selector = subset.train_selector_net(cmap, images, labels, base, selector_cfg)
+        selector = subset.train_selector_net(cmap, images, labels, base, selector_cfg)
     else:
-        ensemble.selector = CentroidSelector(kmeans=kmeans, lda=lda)
+        selector = CentroidSelector(kmeans=kmeans, lda=lda)
+    ensemble = SubsetEnsemble(nets=nets, selector=selector)
 
     fused = fuse_dataset_features(base, ensemble, target.images, rows)
     svm = fusion.svm_train(fused, labels, lam=config.svm_lambda, epochs=config.svm_epochs)
@@ -564,8 +562,8 @@ def build_system(
         ensemble=ensemble,
         svm=svm,
         provenance={
-            "graph": stage.name,
-            "steps": stage.steps,
+            "graph": graph.name,
+            "steps": graph.steps,
             "seed": config.train.seed,
             "kmeans_restarts": config.kmeans_restarts,
         },
@@ -616,14 +614,14 @@ def tap_reports(bundle: ModelBundle, dataset: DatasetHandle) -> tuple[TapReport,
     return tuple(precluster(feats, labels, tap, lda, k, seed, restarts)[2] for tap, feats, lda in taps)
 
 
-def evaluate_feature_svm(net: Network, dataset: DatasetHandle, epochs: int = fusion.SVM_EPOCHS) -> Metrics:
+def evaluate_feature_svm(net: Network, dataset: DatasetHandle) -> Metrics:
     """Feature-protocol baseline: one-vs-all SVM on l2-normalized penultimate
     features of the train split, scored on the test split."""
     tr = dataset.rows("train")
     te = dataset.rows("test")
     train_feats = fusion.l2_normalize_rows(extract_features(net, dataset.images[tr], Tap.FC_PENULTIMATE))
     test_feats = fusion.l2_normalize_rows(extract_features(net, dataset.images[te], Tap.FC_PENULTIMATE))
-    svm = fusion.svm_train(train_feats, dataset.labels[tr], epochs=epochs)
+    svm = fusion.svm_train(train_feats, dataset.labels[tr])
     preds, _ = fusion.svm_predict_batch(svm, test_feats)
     return metrics_from_predictions(dataset.labels[te], preds, dataset.n_classes)
 
@@ -737,7 +735,7 @@ def save_bundle(path, bundle: ModelBundle) -> None:
         "selector": selector_kind,
         "base_spec": _spec_to_json(bundle.base.spec),
         "subset_specs": [_spec_to_json(net.spec) for net in bundle.ensemble.nets],
-        "selector_spec": _spec_to_json(selector.net.spec) if selector_kind == "network" else None,
+        "selector_spec": _spec_to_json(selector.spec) if selector_kind == "network" else None,
         "kmeans_seed": bundle.kmeans.seed,
         "svm_lambda": bundle.svm.lam,
         "svm_checkpoint_epochs": list(bundle.svm.checkpoint_epochs),
@@ -754,7 +752,7 @@ def save_bundle(path, bundle: ModelBundle) -> None:
     for i, net in enumerate(bundle.ensemble.nets):
         _params_to_tensors(f"subset/{i}", net.params, tensors)
     if selector_kind == "network":
-        _params_to_tensors("selector", selector.net.params, tensors)
+        _params_to_tensors("selector", selector.params, tensors)
     tensors["svm/weights"] = bundle.svm.weights
     tensors["svm/biases"] = bundle.svm.biases
     tensors["svm/checkpoint_objectives"] = bundle.svm.checkpoint_objectives
@@ -797,16 +795,14 @@ def load_bundle(path) -> ModelBundle:
         for i, spec_obj in enumerate(info["subset_specs"]):
             spec_i = _spec_from_json(spec_obj)
             nets.append(Network(spec_i, _params_from_tensors(f"subset/{i}", spec_i, tensors)))
-        ensemble = SubsetEnsemble(nets=tuple(nets))
         if info["selector"] == "network":
             spec_s = _spec_from_json(info["selector_spec"])
-            ensemble.selector = NetSelector(
-                net=Network(spec_s, _params_from_tensors("selector", spec_s, tensors))
-            )
+            selector = Network(spec_s, _params_from_tensors("selector", spec_s, tensors))
         elif info["selector"] == "centroid":
-            ensemble.selector = CentroidSelector(kmeans=kmeans, lda=lda)
+            selector = CentroidSelector(kmeans=kmeans, lda=lda)
         else:
             raise InvariantError(f"{path}: unknown selector kind {info['selector']!r}")
+        ensemble = SubsetEnsemble(nets=tuple(nets), selector=selector)
         svm = SvmModel(
             weights=tensors["svm/weights"],
             biases=tensors["svm/biases"],

@@ -27,18 +27,6 @@ class SubsetInfo:
 
 
 @dataclass(frozen=True)
-class SubsetPartition:
-    subsets: tuple[SubsetInfo, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.subsets)
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(int(s.rows.size) for s in self.subsets)
-
-
-@dataclass(frozen=True)
 class CentroidSelector:
     """Routes an image to the nearest pre-clustering centroid of its
     lda-projected penultimate base feature."""
@@ -47,22 +35,16 @@ class CentroidSelector:
     lda: LdaModel
 
 
+# A network selector is a softmax net over subset labels, one head output per subset.
+Selector = CentroidSelector | Network
+
+
 @dataclass(frozen=True)
-class NetSelector:
-    """Softmax network over subset labels; the head has one output per subset."""
-
-    net: Network
-
-
-Selector = CentroidSelector | NetSelector
-
-
-@dataclass
 class SubsetEnsemble:
     """k subset nets, each contributing its Tap.FC_PENULTIMATE feature, and the selector."""
 
     nets: tuple[Network, ...]
-    selector: Selector | None = None
+    selector: Selector
 
     @property
     def k(self) -> int:
@@ -73,8 +55,9 @@ class SubsetEnsemble:
         return self.nets[0].spec.tap_dim(Tap.FC_PENULTIMATE)
 
 
-def build_partition(cmap: ClassClusterMap, labels) -> SubsetPartition:
-    """Split rows by their class's subset; local labels are dense per subset.
+def build_partition(cmap: ClassClusterMap, labels) -> tuple[SubsetInfo, ...]:
+    """Split rows by their class's subset, one SubsetInfo per subset in subset
+    order; local labels are dense per subset.
 
     Membership depends only on classes, so permuting row order permutes each
     subset's row list but never its membership set.
@@ -93,7 +76,7 @@ def build_partition(cmap: ClassClusterMap, labels) -> SubsetPartition:
             raise ContractError(f"subset {k} has no rows in this dataset")
         local = np.searchsorted(classes, labels[rows])  # classes ascend, so this is the dense rank
         subsets.append(SubsetInfo(classes=classes, rows=rows, local_labels=local))
-    return SubsetPartition(subsets=tuple(subsets))
+    return tuple(subsets)
 
 
 def _fine_tune(
@@ -109,12 +92,12 @@ def _fine_tune(
 
 
 def train_subset_nets(
-    partition: SubsetPartition,
+    partition: tuple[SubsetInfo, ...],
     images: np.ndarray,
     base: Network,
     cfg: TrainConfig,
     workers: int = 1,
-) -> SubsetEnsemble:
+) -> tuple[Network, ...]:
     """Fine-tune one feature network per subset from the shared base trunk.
 
     Each net starts from the base trunk with its head re-initialized to the
@@ -123,7 +106,7 @@ def train_subset_nets(
     """
 
     def _train_one(k: int) -> Network:
-        info = partition.subsets[k]
+        info = partition[k]
         if info.classes.size == 1:
             log.warning(
                 "subset %d contains a single class; its softmax head is degenerate", k
@@ -134,10 +117,8 @@ def train_subset_nets(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            nets = tuple(pool.map(_train_one, range(partition.k)))
-    else:
-        nets = tuple(_train_one(k) for k in range(partition.k))
-    return SubsetEnsemble(nets=nets)
+            return tuple(pool.map(_train_one, range(len(partition))))
+    return tuple(_train_one(k) for k in range(len(partition)))
 
 
 def train_selector_net(
@@ -146,11 +127,11 @@ def train_selector_net(
     labels,
     base: Network,
     cfg: TrainConfig,
-) -> NetSelector:
+) -> Network:
     """Train the network selector: subset indices become the class labels and
     the head is resized to k outputs, starting from the base trunk."""
     subset_labels = cmap.class_to_subset[numkit.as_ints(labels)]
-    return NetSelector(net=_fine_tune(base, images, subset_labels, cmap.k, cfg, 0))
+    return _fine_tune(base, images, subset_labels, cmap.k, cfg, 0)
 
 
 def select_batch(selector: Selector, images: np.ndarray, base_feats: np.ndarray) -> np.ndarray:
@@ -161,11 +142,11 @@ def select_batch(selector: Selector, images: np.ndarray, base_feats: np.ndarray)
     features, the penultimate base-net activations of the same images.  Ties
     break to the lowest index either way.
     """
-    if isinstance(selector, NetSelector):
-        return np.argmax(selector.net.forward(images, Tap.HEAD), axis=1)
+    if isinstance(selector, Network):
+        return np.argmax(selector.forward(images, Tap.HEAD), axis=1)
     if isinstance(selector, CentroidSelector):
         return kmeans_assign(selector.kmeans, lda_transform(selector.lda, base_feats))
-    raise ContractError(f"untrained or unknown selector {selector!r}")
+    raise ContractError(f"unknown selector {selector!r}")
 
 
 def extract_subset_features(ensemble: SubsetEnsemble, images: np.ndarray, chosen) -> np.ndarray:

@@ -120,8 +120,7 @@ def test_criterion_03_lda_whitened_eigen_oracle():
         centers = rng.normal(scale=3.0, size=(3, 2))
         feats = np.concatenate([c + 0.6 * rng.normal(size=(50, 2)) for c in centers])
         labels = np.repeat(np.arange(3), 50)
-        ridge = 1e-6
-        model = lda_fit(feats, labels, out_dim=2, ridge=ridge)
+        model = lda_fit(feats, labels, out_dim=2)
         # independent oracle: symmetric inverse-sqrt whitening via numpy eigh
         mu = feats.mean(axis=0)
         s_w = np.zeros((2, 2))
@@ -132,7 +131,7 @@ def test_criterion_03_lda_whitened_eigen_oracle():
             s_w += diff.T @ diff
             md = (rows.mean(axis=0) - mu)[:, None]
             s_b += rows.shape[0] * (md @ md.T)
-        s_w += ridge * np.eye(2)
+        s_w += 1e-3 * np.trace(s_w) / 2 * np.eye(2)  # the product's ridge rule
         evals, evecs = np.linalg.eigh(s_w)
         inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.T
         w, u = np.linalg.eigh(inv_sqrt @ s_b @ inv_sqrt)

@@ -19,9 +19,10 @@ def gaussian_classes(rng, means, n_per_class, scale=1.0):
     return np.concatenate(feats), np.concatenate(labels)
 
 
-def lda_oracle(features, labels, out_dim, ridge):
+def lda_oracle(features, labels, out_dim):
     """Independent route: symmetric inverse-square-root whitening via numpy's
-    eigh, then eigh of the whitened between-class scatter."""
+    eigh, then eigh of the whitened between-class scatter.  The ridge is the
+    product's rule, 1e-3 * trace(S_w) / D."""
     classes = np.unique(labels)
     mu = features.mean(axis=0)
     d = features.shape[1]
@@ -33,7 +34,7 @@ def lda_oracle(features, labels, out_dim, ridge):
         s_w += diff.T @ diff
         md = (rows.mean(axis=0) - mu)[:, None]
         s_b += rows.shape[0] * (md @ md.T)
-    s_w += ridge * np.eye(d)
+    s_w += 1e-3 * np.trace(s_w) / d * np.eye(d)
     evals, evecs = np.linalg.eigh(s_w)
     inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.T
     m = inv_sqrt @ s_b @ inv_sqrt
@@ -56,8 +57,7 @@ class TestLda:
     def test_two_class_fisher_direction(self):
         rng = np.random.default_rng(1)
         feats, labels = gaussian_classes(rng, [[0, 0], [3, 1]], 80, scale=0.8)
-        ridge = 1e-6
-        model = lda_fit(feats, labels, out_dim=1, ridge=ridge)
+        model = lda_fit(feats, labels, out_dim=1)
         mu0 = feats[labels == 0].mean(axis=0)
         mu1 = feats[labels == 1].mean(axis=0)
         d = feats.shape[1]
@@ -65,7 +65,7 @@ class TestLda:
         for c in (0, 1):
             diff = feats[labels == c] - feats[labels == c].mean(axis=0)
             s_w += diff.T @ diff
-        direction = np.linalg.solve(s_w + ridge * np.eye(d), mu0 - mu1)
+        direction = np.linalg.solve(s_w + 1e-3 * np.trace(s_w) / d * np.eye(d), mu0 - mu1)
         direction /= np.linalg.norm(direction)
         cosine = abs(model.projection[:, 0] @ direction)
         assert cosine > 0.999
@@ -73,9 +73,8 @@ class TestLda:
     def test_matches_whitened_eigen_oracle(self):
         rng = np.random.default_rng(2)
         feats, labels = gaussian_classes(rng, [[0, 0], [4, 1], [1, 5]], 50, scale=0.7)
-        ridge = 1e-6
-        model = lda_fit(feats, labels, out_dim=2, ridge=ridge)
-        oracle = lda_oracle(feats, labels, 2, ridge)
+        model = lda_fit(feats, labels, out_dim=2)
+        oracle = lda_oracle(feats, labels, 2)
         for j in range(2):
             cosine = abs(model.projection[:, j] @ oracle[:, j])
             assert cosine > 0.999
@@ -125,17 +124,18 @@ class TestLda:
             lda_fit(feats, labels, out_dim=2)  # C-1 == 1
 
     def test_singular_scatter_without_ridge(self):
+        # zero within-class scatter, so the ridge rule adds nothing
         feats = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         labels = np.array([0, 0, 1, 1])
         with pytest.raises(NotPositiveDefiniteError):
-            lda_fit(feats, labels, out_dim=1, ridge=0.0)
+            lda_fit(feats, labels, out_dim=1)
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(7)
         feats, labels = gaussian_classes(rng, [[0, 0], [3, 0], [0, 3]], 40)
-        model_a = lda_fit(feats, labels, out_dim=2, ridge=1e-6)
+        model_a = lda_fit(feats, labels, out_dim=2)
         permuted = np.array([2, 0, 1])[labels]
-        model_b = lda_fit(feats, permuted, out_dim=2, ridge=1e-6)
+        model_b = lda_fit(feats, permuted, out_dim=2)
         assert np.abs(model_a.projection - model_b.projection).max() < 1e-9
 
     def test_width_mismatch(self):

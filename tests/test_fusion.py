@@ -73,7 +73,14 @@ def blobs(rng, centers, n, spread=0.4):
     return x, y
 
 
-def reference_svm_train(features, labels, lam, epochs, fit_bias):
+def svm_objective(w: np.ndarray, b: float, features: np.ndarray, y: np.ndarray, lam: float) -> float:
+    """Regularized mean hinge for one binary problem with labels in {-1, +1}.
+    The bias is unregularized."""
+    margins = y * (features @ w + b)
+    return float(np.maximum(0.0, 1.0 - margins).mean() + 0.5 * lam * (w @ w))
+
+
+def reference_svm_train(features, labels, lam, epochs):
     """Reference solver for ``TestSvmOracle``: the same algorithm with
     row-major scores, a separate bias update and a third product for the
     averaged iterate."""
@@ -105,8 +112,7 @@ def reference_svm_train(features, labels, lam, epochs, fit_bias):
         over = norms > radius
         if np.any(over):
             w[over] *= (radius / norms[over])[:, None]
-        if fit_bias:
-            bias = bias + eta * (y * viol).sum(axis=0) / n
+        bias = bias + eta * (y * viol).sum(axis=0) / n
         w_sum += w
         b_sum += bias
         avg_w = w_sum / t
@@ -165,7 +171,7 @@ class TestSvmTrain:
             model = fusion.svm_train(x, y, lam=1e-4, epochs=50)
             for c in range(3):
                 yc = np.where(y == c, 1.0, -1.0)
-                obj = fusion.svm_objective(model.weights[c], model.biases[c], x, yc, model.lam)
+                obj = svm_objective(model.weights[c], model.biases[c], x, yc, model.lam)
                 assert obj <= 1.0 + 1e-12
 
     def test_checkpoint_objectives_non_increasing(self):
@@ -178,25 +184,29 @@ class TestSvmTrain:
         assert np.all(diffs <= 1e-9)
 
     def test_matches_grid_search_oracle(self):
-        # 2-feature instance with the bias pinned at zero so the weight space
-        # is exactly the 2-d plane the oracle sweeps
+        # 2-feature instance: the oracle sweeps the 2-d weight plane and, per
+        # grid point, minimizes the bias exactly.  For fixed w the objective
+        # is convex and piecewise linear in b, so its minimum lies at one of
+        # the n breakpoints b = y_i - w.x_i.
         rng = np.random.default_rng(4)
         x = rng.normal(size=(20, 2))
         y = rng.integers(0, 3, size=20)
         y[:3] = [0, 1, 2]
         lam = 0.1
-        model = fusion.svm_train(x, y, lam=lam, epochs=2000, fit_bias=False)
+        model = fusion.svm_train(x, y, lam=lam, epochs=2000)
         grid = np.linspace(-4.0, 4.0, 321)
+        w1, w2 = np.meshgrid(grid, grid, indexing="ij")
+        scores = w1[..., None] * x[:, 0][None, None, :] + w2[..., None] * x[:, 1][None, None, :]
         for c in range(3):
             yc = np.where(y == c, 1.0, -1.0)
-            w1, w2 = np.meshgrid(grid, grid, indexing="ij")
-            margins = yc[None, None, :] * (
-                w1[..., None] * x[:, 0][None, None, :] + w2[..., None] * x[:, 1][None, None, :]
-            )
-            hinge = np.maximum(0.0, 1.0 - margins).mean(axis=-1)
+            hinge = np.full(w1.shape, np.inf)
+            for i in range(x.shape[0]):  # one breakpoint at a time keeps the arrays 3-d
+                b = yc[i] - scores[..., i]
+                margins = yc[None, None, :] * (scores + b[..., None])
+                hinge = np.minimum(hinge, np.maximum(0.0, 1.0 - margins).mean(axis=-1))
             objective = hinge + 0.5 * lam * (w1**2 + w2**2)
             oracle = objective.min()
-            got = fusion.svm_objective(model.weights[c], 0.0, x, yc, lam)
+            got = svm_objective(model.weights[c], model.biases[c], x, yc, lam)
             assert got <= oracle * 1.02 + 1e-9
             assert got >= oracle * 0.98 - 1e-9
 
@@ -232,17 +242,16 @@ class TestSvmOracle:
         d=st.integers(1, 16),
         lam=st.sampled_from([1e-4, 1e-2, 1.0, 10.0]),
         scale=st.sampled_from([0.1, 1.0, 10.0]),
-        fit_bias=st.booleans(),
         epochs=st.integers(1, 60),
     )
-    @example(seed=0, c=2, extra_rows=30, d=5, lam=1e-4, scale=1.0, fit_bias=True, epochs=200)
-    @example(seed=1, c=12, extra_rows=48, d=16, lam=1e-4, scale=1.0, fit_bias=False, epochs=200)
-    @example(**BINDING[0], lam=10.0, scale=10.0, fit_bias=True, epochs=60)
-    @example(**BINDING[1], lam=10.0, scale=10.0, fit_bias=False, epochs=60)
-    def test_matches_reference(self, seed, c, extra_rows, d, lam, scale, fit_bias, epochs):
+    @example(seed=0, c=2, extra_rows=30, d=5, lam=1e-4, scale=1.0, epochs=200)
+    @example(seed=1, c=12, extra_rows=48, d=16, lam=1e-4, scale=1.0, epochs=200)
+    @example(**BINDING[0], lam=10.0, scale=10.0, epochs=60)
+    @example(**BINDING[1], lam=10.0, scale=10.0, epochs=60)
+    def test_matches_reference(self, seed, c, extra_rows, d, lam, scale, epochs):
         x, y = oracle_problem(seed, c + extra_rows, d, c, scale)
-        got = fusion.svm_train(x, y, lam=lam, epochs=epochs, fit_bias=fit_bias)
-        want = reference_svm_train(x, y, lam, epochs, fit_bias)
+        got = fusion.svm_train(x, y, lam=lam, epochs=epochs)
+        want = reference_svm_train(x, y, lam, epochs)
         np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.biases, want.biases, rtol=0, atol=1e-12)
         assert got.checkpoint_epochs == want.checkpoint_epochs
@@ -250,7 +259,7 @@ class TestSvmOracle:
         assert np.array_equal(fusion.svm_predict_batch(got, x)[0], fusion.svm_predict_batch(want, x)[0])
         for k in range(c):
             yk = np.where(y == k, 1.0, -1.0)
-            objective = fusion.svm_objective(got.weights[k], got.biases[k], x, yk, lam)
+            objective = svm_objective(got.weights[k], got.biases[k], x, yk, lam)
             assert abs(got.checkpoint_objectives[-1, k] - objective) <= 1e-12
 
     @pytest.mark.parametrize("case", BINDING)

@@ -186,7 +186,6 @@ SWEEP = {
 
 
 def assert_same_result(a, b):
-    assert a.name == b.name and a.steps == b.steps
     assert a.histories == b.histories
     assert a.net.spec == b.net.spec
     for la, lb in zip(a.net.params.layers, b.net.params.layers, strict=True):
@@ -262,8 +261,9 @@ class TestStageGraph:
     def test_single_rt_stage_equals_plain_train(self):
         datasets = self.make_datasets()
         cfg = TrainConfig(epochs=2, seed=3, learning_rate=0.02, batch_size=16)
-        result = run_stage_graph(StageGraph((StageSpec("a", "rt"),)), datasets, cfg)
-        assert result.steps == 1 and result.name == "a-rt"
+        graph = StageGraph((StageSpec("a", "rt"),))
+        result = run_stage_graph(graph, datasets, cfg)
+        assert graph.steps == 1 and graph.name == "a-rt" and len(result.histories) == 1
         ds = datasets["a"]
         rows = ds.rows("train")
         spec = convnet.default_spec(ds.images.shape[1:], ds.n_classes)
@@ -284,9 +284,10 @@ class TestStageGraph:
         datasets = self.make_datasets()
         cfg = TrainConfig(epochs=2, seed=3, learning_rate=0.02, batch_size=12)
         one = run_stage_graph(StageGraph((StageSpec("a", "rt"),)), datasets, cfg)
-        two = run_stage_graph(StageGraph((StageSpec("a", "rt"), StageSpec("b", "ft"))), datasets, cfg)
+        graph = StageGraph((StageSpec("a", "rt"), StageSpec("b", "ft")))
+        two = run_stage_graph(graph, datasets, cfg)
         assert two.net.spec.class_count == datasets["b"].n_classes
-        assert two.name == "a-rt-b-ft" and two.steps == 2
+        assert graph.name == "a-rt-b-ft" and graph.steps == 2
         assert len(two.histories) == 2
         # fine-tuning moved the trunk
         assert not np.array_equal(two.net.params.layers[0].weight, one.net.params.layers[0].weight)
@@ -296,8 +297,8 @@ class TestStageGraph:
         cfg = TrainConfig(epochs=1, seed=3, learning_rate=0.02, batch_size=12)
         graph = StageGraph((StageSpec("a", "rt"), StageSpec("b", "ft"), StageSpec("a", "ft")))
         result = run_stage_graph(graph, datasets, cfg)
-        assert result.steps == 3
-        assert result.name.count("-ft") == 2
+        assert graph.steps == 3 and len(result.histories) == 3
+        assert graph.name.count("-ft") == 2
 
     def test_invalid_graphs(self):
         with pytest.raises(ContractError):
@@ -444,7 +445,7 @@ FRACTIONAL_LABEL_CALLS = {
     "pipeline.metrics_from_predictions": lambda d: metrics_from_predictions([0.5, 1.7], [0, 1], 2),
     "fusion.fuse_batch": lambda d: fusion.fuse_batch(np.ones((2, 3)), np.ones((2, 2, 3)), [0.7, 1.2]),
     "subset.extract_subset_features": lambda d: subset.extract_subset_features(
-        subset.SubsetEnsemble(nets=(d["net"], d["net"])), d["images"][:2], [0.7, 1.2]
+        subset.SubsetEnsemble(nets=(d["net"], d["net"]), selector=d["net"]), d["images"][:2], [0.7, 1.2]
     ),
     "cluster.silhouette_score": lambda d: cluster.silhouette_score(d["feats"][:4], [0.2, 0.9, 1.5, 1.1]),
 }
@@ -563,8 +564,8 @@ def all_k_reference(bundle, images, chosen=None):
 def count_forward_images(monkeypatch, bundle):
     """Record (network role, images) for every convnet.forward call from now on."""
     roles = {id(bundle.base.params): "base"}
-    if isinstance(bundle.ensemble.selector, subset.NetSelector):
-        roles[id(bundle.ensemble.selector.net.params)] = "selector"
+    if isinstance(bundle.ensemble.selector, convnet.Network):
+        roles[id(bundle.ensemble.selector.params)] = "selector"
     roles.update({id(net.params): f"subset{j}" for j, net in enumerate(bundle.ensemble.nets)})
     calls = []
     forward = convnet.forward
@@ -979,5 +980,5 @@ class TestPersistence:
 class TestFeatureSvmProtocol:
     def test_runs_and_scores(self, tiny_bundle):
         ds, bundle = tiny_bundle
-        m = pipeline.evaluate_feature_svm(bundle.base, ds, epochs=30)
+        m = pipeline.evaluate_feature_svm(bundle.base, ds)
         assert 0.0 <= m.mean_accuracy <= 1.0

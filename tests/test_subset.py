@@ -36,26 +36,26 @@ class TestBuildPartition:
         cmap = ClassClusterMap(class_to_subset=np.array([0, 1, 0, 1]))
         labels = np.array([0, 1, 2, 3, 0, 2, 1, 3])
         part = subset.build_partition(cmap, labels)
-        assert part.k == 2
-        assert np.array_equal(part.subsets[0].classes, [0, 2])
-        assert np.array_equal(part.subsets[1].classes, [1, 3])
+        assert len(part) == 2
+        assert np.array_equal(part[0].classes, [0, 2])
+        assert np.array_equal(part[1].classes, [1, 3])
         # remap is ascending original class -> dense local label
-        rows0 = part.subsets[0].rows
+        rows0 = part[0].rows
         assert np.array_equal(labels[rows0], [0, 2, 0, 2])
-        assert np.array_equal(part.subsets[0].local_labels, [0, 1, 0, 1])
+        assert np.array_equal(part[0].local_labels, [0, 1, 0, 1])
 
     def test_single_subset_is_identity_up_to_reindex(self):
         cmap = ClassClusterMap(class_to_subset=np.zeros(3, dtype=int))
         labels = np.array([2, 0, 1, 2])
         part = subset.build_partition(cmap, labels)
-        assert np.array_equal(part.subsets[0].rows, np.arange(4))
-        assert np.array_equal(part.subsets[0].local_labels, labels)
+        assert np.array_equal(part[0].rows, np.arange(4))
+        assert np.array_equal(part[0].local_labels, labels)
 
     def test_sizes_sum_to_dataset(self):
         cmap = ClassClusterMap(class_to_subset=np.array([0, 1, 2, 1]))
         labels = np.repeat(np.arange(4), 7)
         part = subset.build_partition(cmap, labels)
-        assert sum(part.sizes()) == labels.size
+        assert sum(info.rows.size for info in part) == labels.size
 
     def test_membership_stable_under_row_permutation(self):
         cmap = ClassClusterMap(class_to_subset=np.array([0, 1, 0]))
@@ -63,7 +63,7 @@ class TestBuildPartition:
         part_a = subset.build_partition(cmap, labels)
         perm = np.array([6, 2, 5, 0, 3, 1, 4])
         part_b = subset.build_partition(cmap, labels[perm])
-        for sa, sb in zip(part_a.subsets, part_b.subsets):
+        for sa, sb in zip(part_a, part_b):
             # membership sets are about which underlying rows belong: map back
             assert sorted(perm[sb.rows].tolist()) == sorted(sa.rows.tolist())
 
@@ -79,23 +79,23 @@ class TestTrainSubsetNets:
         cmap = ClassClusterMap(class_to_subset=np.array([0, 0, 1, 1]))
         part = subset.build_partition(cmap, labels)
         cfg = TrainConfig(epochs=1, batch_size=8, seed=5, learning_rate=0.002)
-        ens = subset.train_subset_nets(part, images, base_net, cfg)
-        assert [net.spec.class_count for net in ens.nets] == [2, 2]
-        head = ens.nets[0].spec.head_index()
-        assert ens.nets[0].params.layers[head].weight.shape[0] == 2
+        nets = subset.train_subset_nets(part, images, base_net, cfg)
+        assert [net.spec.class_count for net in nets] == [2, 2]
+        head = nets[0].spec.head_index()
+        assert nets[0].params.layers[head].weight.shape[0] == 2
 
     def test_k1_collapses_to_single_finetune(self, toy_data, base_net):
         _, images, labels = toy_data
         cmap = ClassClusterMap(class_to_subset=np.zeros(4, dtype=int))
         part = subset.build_partition(cmap, labels)
         cfg = TrainConfig(epochs=2, batch_size=8, seed=7, learning_rate=0.002)
-        ens = subset.train_subset_nets(part, images, base_net, cfg)
+        nets = subset.train_subset_nets(part, images, base_net, cfg)
         head_seed, train_seed = derive_seed(cfg.seed, 0, 0), derive_seed(cfg.seed, 0, 1)
         spec, params = convnet.reinit_head(base_net.spec, base_net.params, 4, Rng(head_seed))
         direct, _ = convnet.train(
             spec, params, images, labels, dataclasses.replace(cfg, seed=train_seed, batch_size=8)
         )
-        for a, b in zip(ens.nets[0].params.layers, direct.layers):
+        for a, b in zip(nets[0].params.layers, direct.layers):
             if a is not None:
                 assert np.array_equal(a.weight, b.weight)
                 assert np.array_equal(a.bias, b.bias)
@@ -106,9 +106,9 @@ class TestTrainSubsetNets:
         part = subset.build_partition(cmap, labels)
         cfg = TrainConfig(epochs=1, batch_size=4, seed=2, learning_rate=0.002)
         with caplog.at_level(logging.WARNING, logger="subsetlearn.subset"):
-            ens = subset.train_subset_nets(part, images, base_net, cfg)
+            nets = subset.train_subset_nets(part, images, base_net, cfg)
         assert any("single class" in rec.message for rec in caplog.records)
-        assert ens.nets[0].spec.class_count == 1
+        assert nets[0].spec.class_count == 1
 
     def test_reproducible_bit_exactly(self, toy_data, base_net):
         _, images, labels = toy_data
@@ -117,7 +117,7 @@ class TestTrainSubsetNets:
         cfg = TrainConfig(epochs=2, batch_size=8, seed=11, learning_rate=0.002)
         a = subset.train_subset_nets(part, images, base_net, cfg)
         b = subset.train_subset_nets(part, images, base_net, cfg)
-        for na, nb in zip(a.nets, b.nets):
+        for na, nb in zip(a, b):
             for la, lb in zip(na.params.layers, nb.params.layers):
                 if la is not None:
                     assert np.array_equal(la.weight, lb.weight)
@@ -129,7 +129,7 @@ class TestTrainSubsetNets:
         cfg = TrainConfig(epochs=1, batch_size=8, seed=4, learning_rate=0.002)
         a = subset.train_subset_nets(part, images, base_net, cfg, workers=1)
         b = subset.train_subset_nets(part, images, base_net, cfg, workers=2)
-        for na, nb in zip(a.nets, b.nets):
+        for na, nb in zip(a, b):
             for la, lb in zip(na.params.layers, nb.params.layers):
                 if la is not None:
                     assert np.array_equal(la.weight, lb.weight)
@@ -166,17 +166,17 @@ class TestSubsetSpecialization:
             sub_cfg = dataclasses.replace(
                 cfg, learning_rate=0.01, epochs=25, seed=derive_seed(seed, 201)
             )
-            ens = subset.train_subset_nets(part, images, base, sub_cfg)
+            nets = subset.train_subset_nets(part, images, base, sub_cfg)
             wins = 0
-            for k, info in enumerate(part.subsets):
+            for k, info in enumerate(part):
                 rows = te[np.isin(ds.labels[te], info.classes)]
                 local = np.searchsorted(info.classes, ds.labels[rows])
-                sub_acc = (ens.nets[k].forward(ds.images[rows], Tap.HEAD).argmax(1) == local).mean()
+                sub_acc = (nets[k].forward(ds.images[rows], Tap.HEAD).argmax(1) == local).mean()
                 restricted = base.forward(ds.images[rows], Tap.HEAD)[:, info.classes]
                 base_acc = (restricted.argmax(1) == local).mean()
                 wins += sub_acc > base_acc
             counts.append(wins)
-        assert np.mean(counts) >= part.k - 1
+        assert np.mean(counts) >= len(part) - 1
 
 
 class TestSelectors:
@@ -185,8 +185,8 @@ class TestSelectors:
         cmap = ClassClusterMap(class_to_subset=np.array([0, 0, 1, 1]))
         cfg = TrainConfig(epochs=1, batch_size=8, seed=3, learning_rate=0.002)
         sel = subset.train_selector_net(cmap, images, labels, base_net, cfg)
-        assert sel.net.spec.class_count == 2
-        probs = sel.net.forward(images[:5], Tap.HEAD)
+        assert sel.spec.class_count == 2
+        probs = sel.forward(images[:5], Tap.HEAD)
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_selector_net_beats_chance(self, toy_data, base_net):
@@ -212,7 +212,7 @@ class TestSelectors:
         sel = subset.train_selector_net(cmap, images, labels, base_net, cfg)
         chosen = subset.select_batch(sel, images[:1], base_net.forward(images[:1], Tap.FC_PENULTIMATE))
         assert chosen.shape == (1,)
-        probs = sel.net.forward(images[:1], Tap.HEAD)
+        probs = sel.forward(images[:1], Tap.HEAD)
         assert chosen[0] == int(probs.argmax())
 
     def test_centroid_selector_matches_kmeans_assign(self, toy_data, base_net):
@@ -253,7 +253,8 @@ class TestExtractSubsetFeatures:
         cmap = ClassClusterMap(class_to_subset=np.array([0, 0, 1, 1]))
         part = subset.build_partition(cmap, labels)
         cfg = TrainConfig(epochs=1, batch_size=8, seed=5, learning_rate=0.002)
-        return subset.train_subset_nets(part, images, base_net, cfg)
+        nets = subset.train_subset_nets(part, images, base_net, cfg)
+        return subset.SubsetEnsemble(nets=nets, selector=base_net)
 
     def test_shapes_and_definition(self, toy_data, ensemble):
         _, images, _ = toy_data
@@ -287,7 +288,7 @@ class TestExtractSubsetFeatures:
 
     def test_identical_nets_identical_features(self, toy_data, base_net):
         _, images, _ = toy_data
-        ens = subset.SubsetEnsemble(nets=(base_net, base_net))
+        ens = subset.SubsetEnsemble(nets=(base_net, base_net), selector=base_net)
         first = subset.extract_subset_features(ens, images[:4], np.zeros(4, dtype=np.int64))
         second = subset.extract_subset_features(ens, images[:4], np.ones(4, dtype=np.int64))
         assert np.array_equal(first[:, 0, :], second[:, 1, :])
