@@ -149,12 +149,15 @@ def lda_fit(features: np.ndarray, labels, out_dim: int) -> LdaModel:
 
 
 def lda_transform(model: LdaModel, features: np.ndarray) -> np.ndarray:
+    """Project feature rows onto the discriminant directions.  A row's bytes
+    do not depend on how many rows share the call (numkit.invariant_matmul),
+    so centroid routing of an image does not depend on its batch."""
     features = numkit.as_matrix(features, "features")
     if features.shape[1] != model.projection.shape[0]:
         raise ShapeError(
             f"feature width {features.shape[1]} does not match model width {model.projection.shape[0]}"
         )
-    return (features - model.global_mean) @ model.projection
+    return numkit.invariant_matmul(features - model.global_mean, model.projection)
 
 
 def silhouette_score(points: np.ndarray, assignments) -> float:

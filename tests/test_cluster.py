@@ -145,6 +145,18 @@ class TestLda:
         with pytest.raises(ShapeError):
             lda_transform(model, np.zeros((3, 4)))
 
+    def test_rows_do_not_depend_on_their_batch(self):
+        # the shape of the centroid selector's product: a 64-wide base tap
+        # projected to C - 1 = 11 directions, on a 360-image split
+        rng = np.random.default_rng(8)
+        feats, labels = gaussian_classes(rng, rng.normal(scale=2.0, size=(12, 64)), 30)
+        model = lda_fit(feats, labels, out_dim=11)
+        whole = lda_transform(model, feats)
+        for size in (1, 7):
+            for start in range(0, feats.shape[0], size):
+                part = lda_transform(model, feats[start : start + size])
+                assert part.tobytes() == whole[start : start + size].tobytes(), (size, start)
+
 
 def brute_force_inertia(points, k):
     """Global optimum over every assignment of points to k nonempty clusters."""
