@@ -22,13 +22,13 @@ def _referenced_names(node: ast.AST) -> collections.Counter:
 
 def _definitions(tree: ast.Module):
     """Top-level functions and classes, and the non-dunder methods and properties of the classes."""
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
-        if isinstance(node, kinds):
+        if isinstance(node, (*functions, ast.ClassDef)):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for member in node.body:
-                if isinstance(member, kinds[:2]) and not (
+                if isinstance(member, functions) and not (
                     member.name.startswith("__") and member.name.endswith("__")
                 ):
                     yield f"{node.name}.{member.name}", member
