@@ -4,6 +4,7 @@ so a single seed reproduces it end to end."""
 from __future__ import annotations
 
 import configparser
+import inspect
 import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -21,19 +22,11 @@ from .pipeline import (
     parse_stage_graph,
 )
 
+# A [dataset.*] section's keys are generate_synthetic's arguments, each read
+# as its default's type; style_seed's None default stands for a seed.
 _GENERATOR_KEYS = {
-    "n_groups": int,
-    "classes_per_group": int,
-    "train_per_class": int,
-    "test_per_class": int,
-    "image_size": int,
-    "channels": int,
-    "intra_group_similarity": float,
-    "noise": float,
-    "jitter": int,
-    "glyph_contrast": float,
-    "style_seed": int,
-    "seed": int,
+    name: int if arg.default is None else type(arg.default)
+    for name, arg in inspect.signature(generate_synthetic).parameters.items()
 }
 
 

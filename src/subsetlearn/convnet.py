@@ -32,6 +32,10 @@ from .numkit import Rng
 # Fine-tuned stages and nets train at this multiple of the scratch learning rate.
 FINETUNE_LR_FACTOR = 0.1
 
+# Images per inference forward: at 64 a 16 x 16 input's first-conv im2col rows
+# take about 1.8 MiB (7.1 MiB at 256), and a forward is no slower per image.
+FORWARD_CHUNK = 64
+
 
 class Tap(str, Enum):
     CONV_LAST = "conv_last"
@@ -549,7 +553,8 @@ def _check_batch(spec: NetSpec, batch: np.ndarray) -> np.ndarray:
 
 
 def forward(spec: NetSpec, params: NetParams, batch: np.ndarray, tap: Tap = Tap.HEAD) -> np.ndarray:
-    """Activations at the requested tap for a batch.  Pure and reentrant.
+    """Activations at the requested tap for a batch of any size, computed
+    FORWARD_CHUNK images at a time into one array.  Pure and reentrant.
 
     Runs the layers up to the tap only, through ``Layer.infer``, and keeps no
     activation beyond the layer that needs it.  The batch is cropped to
@@ -558,7 +563,7 @@ def forward(spec: NetSpec, params: NetParams, batch: np.ndarray, tap: Tap = Tap.
     directly followed by a max-pool runs after it, on 1/k^2 as many values:
     relu is nondecreasing, so the max commutes with it and the output is
     unchanged.  Every product is batch-invariant, so an image's result does
-    not depend on its batch-mates."""
+    not depend on its batch-mates or on the chunks."""
     batch = _check_batch(spec, batch)
     h, w = spec.input_extent
     index = spec.tap_index(tap)
@@ -566,10 +571,13 @@ def forward(spec: NetSpec, params: NetParams, batch: np.ndarray, tap: Tap = Tap.
     for i in range(len(steps) - 1):
         if isinstance(steps[i][0], Relu) and isinstance(steps[i + 1][0], MaxPool):
             steps[i], steps[i + 1] = steps[i + 1], steps[i]
-    x = np.ascontiguousarray(batch[:, :, :h, :w].transpose(0, 2, 3, 1))
-    for layer, lp in steps:
-        x = layer.infer(x, lp)
-    return x
+    out = np.empty((batch.shape[0],) + spec.layer_shapes[index - 1])  # the tap's shape, flat for every tap
+    for start in range(0, batch.shape[0], FORWARD_CHUNK):
+        x = np.ascontiguousarray(batch[start : start + FORWARD_CHUNK, :, :h, :w].transpose(0, 2, 3, 1))
+        for layer, lp in steps:
+            x = layer.infer(x, lp)
+        out[start : start + x.shape[0]] = x
+    return out
 
 
 def _check_labels(labels, class_count: int) -> np.ndarray:
@@ -653,6 +661,9 @@ def train(
     velocity = params.map(np.zeros_like)
     rng = Rng(cfg.seed)
     trainable = [i for i, lp in enumerate(current.layers) if lp is not None and i >= (cfg.freeze_below or 0)]
+    if not trainable:
+        head = spec.head_index()
+        raise ContractError(f"freeze_below {cfg.freeze_below} leaves nothing to train: the head is layer {head}")
     history: list[float] = []
     for epoch in range(cfg.epochs):
         lr = cfg.lr_at(epoch)

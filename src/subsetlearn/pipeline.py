@@ -6,6 +6,7 @@ datasets and model bundles.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import threading
 from collections import OrderedDict
@@ -118,6 +119,8 @@ def generate_synthetic(
     if jitter < 0 or noise < 0:
         raise ContractError("noise and jitter must be nonnegative")
     style_seed = seed if style_seed is None else style_seed
+    arguments = locals()
+    generator = {name: arguments[name] for name in inspect.signature(generate_synthetic).parameters}
 
     n_classes = n_groups * classes_per_group
     per_class = train_per_class + test_per_class
@@ -161,20 +164,6 @@ def generate_synthetic(
             images[row] = np.clip(img, 0.0, 1.0)
             row += 1
     names = tuple(f"g{c // classes_per_group:02d}c{c % classes_per_group:02d}" for c in range(n_classes))
-    generator = {
-        "n_groups": n_groups,
-        "classes_per_group": classes_per_group,
-        "train_per_class": train_per_class,
-        "test_per_class": test_per_class,
-        "image_size": image_size,
-        "channels": channels,
-        "intra_group_similarity": intra_group_similarity,
-        "seed": seed,
-        "style_seed": style_seed,
-        "noise": noise,
-        "jitter": jitter,
-        "glyph_contrast": glyph_contrast,
-    }
     return DatasetHandle(images=images, labels=labels, split=split, class_names=names, generator=generator)
 
 
@@ -209,7 +198,13 @@ class StageGraph:
 
     @property
     def name(self) -> str:
-        return "-".join(f"{s.dataset}-{s.mode}" for s in self.stages)
+        """Each stage's dataset, mode and the knobs it sets, joined by "-";
+        metrics.csv holds it unquoted, so it has no comma."""
+        parts = []
+        for s in self.stages:
+            knobs = {"epochs": s.epochs, "learning_rate": s.learning_rate, "freeze_below": s.freeze_below}
+            parts += [s.dataset, s.mode] + [f"{k}{v!r}" for k, v in knobs.items() if v is not None]
+        return "-".join(parts)
 
     @property
     def steps(self) -> int:
@@ -356,20 +351,6 @@ def metrics_from_predictions(y_true, y_pred, n_classes: int) -> Metrics:
     )
 
 
-# Images per inference forward.  At 64 a 16 x 16 input's first-conv im2col
-# rows take about 1.8 MiB (7.1 MiB at 256), and a forward is no slower per
-# image.
-FORWARD_CHUNK = 64
-
-
-def extract_features(net: Network, images: np.ndarray, tap: Tap) -> np.ndarray:
-    """Tap features of images, forwarded FORWARD_CHUNK at a time."""
-    chunks = [
-        net.forward(images[i : i + FORWARD_CHUNK], tap) for i in range(0, images.shape[0], FORWARD_CHUNK)
-    ]
-    return np.concatenate(chunks, axis=0)
-
-
 # ---------------------------------------------------------------------------
 # full system
 
@@ -476,25 +457,18 @@ def fused_width(bundle_base: Network, ensemble: SubsetEnsemble) -> int:
     return bundle_base.spec.tap_dim(Tap.FC_PENULTIMATE) + ensemble.k * ensemble.feature_dim
 
 
-def fuse_dataset_features(
-    bundle_base: Network,
-    ensemble: SubsetEnsemble,
-    images: np.ndarray,
-    rows: np.ndarray,
-) -> np.ndarray:
+def fuse_dataset_features(bundle_base: Network, ensemble: SubsetEnsemble, images: np.ndarray) -> np.ndarray:
     """Base feature + the ensemble selector's choice + the chosen subset
-    net's feature, fused per image, for images[rows].
+    net's feature, fused per image into one (len(images), D) matrix.
 
-    Per chunk of FORWARD_CHUNK rows the chunk's images are gathered, the
-    selector routes first, then each subset net runs only on the images
-    routed to it: every image passes through the base net, the selector (a
-    network selector's own net; the centroid selector reuses the base
-    feature) and exactly one subset net.  Each fused chunk is written into
-    one (len(rows), D) matrix, so the selected images are never held whole.
+    Per chunk of convnet.FORWARD_CHUNK images the selector routes first, then
+    each subset net runs only on the images routed to it: every image passes
+    through the base net, the selector (a network selector's own net; the
+    centroid selector reuses the base feature) and exactly one subset net.
     """
-    fused = np.empty((rows.size, fused_width(bundle_base, ensemble)))
-    for i in range(0, rows.size, FORWARD_CHUNK):
-        chunk = images[rows[i : i + FORWARD_CHUNK]]
+    fused = np.empty((images.shape[0], fused_width(bundle_base, ensemble)))
+    for i in range(0, images.shape[0], convnet.FORWARD_CHUNK):
+        chunk = images[i : i + convnet.FORWARD_CHUNK]
         base_feats = bundle_base.forward(chunk, Tap.FC_PENULTIMATE)
         chosen = subset.select_batch(ensemble.selector, chunk, base_feats)
         subset_feats = subset.extract_subset_features(ensemble, chunk, chosen)
@@ -527,7 +501,7 @@ def build_system(
 
     rows = target.rows("train")
     images, labels = target.images[rows], target.labels[rows]
-    feats = extract_features(base, images, Tap.FC_PENULTIMATE)
+    feats = base.forward(images, Tap.FC_PENULTIMATE)
 
     lda = _cluster.lda_fit(feats, labels, out_dim=config.lda_out_dim or min(target.n_classes - 1, 32))
     cmap, kmeans, _ = precluster(
@@ -552,7 +526,7 @@ def build_system(
         selector = CentroidSelector(kmeans=kmeans, lda=lda)
     ensemble = SubsetEnsemble(nets=nets, selector=selector)
 
-    fused = fuse_dataset_features(base, ensemble, target.images, rows)
+    fused = fuse_dataset_features(base, ensemble, images)
     svm = fusion.svm_train(fused, labels, lam=config.svm_lambda, epochs=config.svm_epochs)
     bundle = ModelBundle(
         base=base,
@@ -580,15 +554,15 @@ def _check_class_count(bundle: ModelBundle, dataset: DatasetHandle) -> None:
 
 
 def evaluate(bundle: ModelBundle, dataset: DatasetHandle, split: str = "test") -> Metrics:
-    """Classify one split with the bundle, FORWARD_CHUNK images at a time:
-    each chunk is fused and scored before the next, so only one chunk's fused
-    features are held.  Pure: the bundle is never mutated."""
+    """Classify one split, convnet.FORWARD_CHUNK images at a time: each chunk's
+    images are gathered, fused and scored before the next, so only one chunk's
+    images and fused features are held.  Pure: the bundle is never mutated."""
     _check_class_count(bundle, dataset)
     rows = dataset.rows(split)
     preds = np.empty(rows.size, dtype=np.int64)
-    for i in range(0, rows.size, FORWARD_CHUNK):
-        chunk = rows[i : i + FORWARD_CHUNK]
-        fused = fuse_dataset_features(bundle.base, bundle.ensemble, dataset.images, chunk)
+    for i in range(0, rows.size, convnet.FORWARD_CHUNK):
+        chunk = rows[i : i + convnet.FORWARD_CHUNK]
+        fused = fuse_dataset_features(bundle.base, bundle.ensemble, dataset.images[chunk])
         preds[i : i + chunk.size] = fusion.svm_predict_batch(bundle.svm, fused)[0]
     return metrics_from_predictions(dataset.labels[rows], preds, dataset.n_classes)
 
@@ -604,9 +578,9 @@ def tap_reports(bundle: ModelBundle, dataset: DatasetHandle) -> tuple[TapReport,
         raise InvariantError(f"bundle provenance kmeans_restarts must be an integer >= 1, got {restarts!r}")
     rows = dataset.rows("train")
     images, labels = dataset.images[rows], dataset.labels[rows]
-    fc_feats = extract_features(bundle.base, images, Tap.FC_PENULTIMATE)
+    fc_feats = bundle.base.forward(images, Tap.FC_PENULTIMATE)
     taps = (
-        (Tap.CONV_LAST.value, extract_features(bundle.base, images, Tap.CONV_LAST), None),
+        (Tap.CONV_LAST.value, bundle.base.forward(images, Tap.CONV_LAST), None),
         (Tap.FC_PENULTIMATE.value, fc_feats, None),
         ("lda_" + Tap.FC_PENULTIMATE.value, fc_feats, bundle.lda),
     )
@@ -619,8 +593,8 @@ def evaluate_feature_svm(net: Network, dataset: DatasetHandle) -> Metrics:
     features of the train split, scored on the test split."""
     tr = dataset.rows("train")
     te = dataset.rows("test")
-    train_feats = fusion.l2_normalize_rows(extract_features(net, dataset.images[tr], Tap.FC_PENULTIMATE))
-    test_feats = fusion.l2_normalize_rows(extract_features(net, dataset.images[te], Tap.FC_PENULTIMATE))
+    train_feats = fusion.l2_normalize_rows(net.forward(dataset.images[tr], Tap.FC_PENULTIMATE))
+    test_feats = fusion.l2_normalize_rows(net.forward(dataset.images[te], Tap.FC_PENULTIMATE))
     svm = fusion.svm_train(train_feats, dataset.labels[tr])
     preds, _ = fusion.svm_predict_batch(svm, test_feats)
     return metrics_from_predictions(dataset.labels[te], preds, dataset.n_classes)
@@ -721,9 +695,7 @@ def load_dataset(path) -> DatasetHandle:
         return DatasetHandle(
             images=images, labels=labels, split=split, class_names=tuple(names), generator=info.get("generator")
         )
-    except InvariantError:
-        raise
-    except (KeyError, ValueError, TypeError, ShapeError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:  # ContractError and ShapeError are ValueErrors
         raise InvariantError(f"{path}: malformed dataset container: {exc}") from exc
 
 
@@ -821,9 +793,7 @@ def load_bundle(path) -> ModelBundle:
             svm=svm,
             provenance=provenance,
         )
-    except InvariantError:
-        raise
-    except (KeyError, ValueError, TypeError, ContractError, ShapeError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:  # ContractError and ShapeError are ValueErrors
         raise InvariantError(f"{path}: malformed bundle container: {exc}") from exc
     bundle.validate()
     return bundle

@@ -463,8 +463,8 @@ def reference_report(config_path) -> bytes:
     net = pipeline.run_stage_graph(cfg.stage_graph(), datasets, system.train).net
     rows = target.rows("train")
     images, labels = target.images[rows], target.labels[rows]
-    conv_feats = pipeline.extract_features(net, images, Tap.CONV_LAST)
-    fc_feats = pipeline.extract_features(net, images, Tap.FC_PENULTIMATE)
+    conv_feats = net.forward(images, Tap.CONV_LAST)
+    fc_feats = net.forward(images, Tap.FC_PENULTIMATE)
     out_dim = system.lda_out_dim or min(target.n_classes - 1, 32)
     lda = cluster.lda_fit(fc_feats, labels, out_dim=out_dim)
     lines = ["tap,silhouette,min_size,max_size"]
@@ -585,6 +585,7 @@ class TestConfigParsing:
             ("train", "momentun"),
             ("train", "lr_schedule"),
             ("run", "seed"),
+            ("dataset.target", "jiter"),
         ],
     )
     def test_unknown_section_key_rejected(self, tmp_path, section, key):
@@ -655,6 +656,8 @@ class TestConfigParsing:
             ("selector", "epochs", "-1", "1"),
             ("cluster", "restarts", "0", "1"),
             ("cluster", "lda_out_dim", "0", "1"),
+            ("dataset.target", "jitter", "1.5", "2"),
+            ("dataset.target", "style_seed", "0.5", "7"),
         ],
     )
     def test_invalid_values_rejected(self, tmp_path, section, key, bad, good):

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -434,6 +435,28 @@ class TestInference:
                 for start in (0, 30, 64 - batch):
                     part = convnet.forward(spec, params, x[start : start + batch], tap)
                     assert part.tobytes() == whole[start : start + batch].tobytes(), (tap, batch, start)
+
+    def test_forward_holds_one_chunk(self):
+        # a forward of more than two chunks equals its per-chunk forwards byte
+        # for byte, and holds no more than its output and one chunk's work
+        spec = convnet.default_spec((3, 16, 16), 12)
+        params = convnet.init_params(spec, Rng(6))
+        chunk = convnet.FORWARD_CHUNK
+        x = Rng(16).normal((2 * chunk + 5,) + spec.input_shape)
+
+        def traced_peak(batch, tap):
+            tracemalloc.start()
+            try:
+                convnet.forward(spec, params, batch, tap)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for tap in Tap:
+            parts = [convnet.forward(spec, params, x[i : i + chunk], tap) for i in range(0, x.shape[0], chunk)]
+            whole = convnet.forward(spec, params, x, tap)
+            assert whole.tobytes() == np.concatenate(parts).tobytes(), tap
+            assert traced_peak(x, tap) <= whole.nbytes + traced_peak(x[:chunk], tap), tap
 
     def test_input_extent_is_what_reaches_flatten(self):
         # 16 -> conv3 14 -> pool2 7 -> conv3 5 -> pool2 2: pool 2 reads 4 of

@@ -1,7 +1,9 @@
-"""The product carries no code that only tests use."""
+"""The product carries no code that only tests use, and no handler that does nothing."""
 
 import ast
+import builtins
 import collections
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,3 +59,42 @@ def unreferenced_definitions(root: Path) -> list[str]:
 
 def test_every_product_definition_has_a_caller():
     assert unreferenced_definitions(ROOT) == []
+
+
+def _caught(module, node) -> tuple[type, ...]:
+    """The exception classes an except clause's type expression names, looked
+    up in the module's namespace, or in builtins when the module does not
+    define them."""
+    if node is None:
+        return (BaseException,)
+    if isinstance(node, ast.Tuple):
+        return tuple(cls for elt in node.elts for cls in _caught(module, elt))
+    if isinstance(node, ast.Name):
+        return (vars(module)[node.id] if node.id in vars(module) else getattr(builtins, node.id),)
+    if isinstance(node, ast.Attribute):
+        return (getattr(_caught(module, node.value)[0], node.attr),)
+    raise AssertionError(f"cannot resolve {ast.unparse(node)}")
+
+
+def dead_reraise_handlers(root: Path) -> list[str]:
+    """Every handler in src/subsetlearn whose whole body is a bare ``raise``
+    although no later handler of its try would catch what it names: such a
+    clause only re-raises what would propagate anyway."""
+    dead = []
+    for path in sorted((root / "src" / "subsetlearn").glob("*.py")):
+        module = importlib.import_module(f"subsetlearn.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Try):
+                continue
+            for i, handler in enumerate(node.handlers):
+                body = handler.body
+                if not (len(body) == 1 and isinstance(body[0], ast.Raise) and body[0].exc is None):
+                    continue
+                later = tuple(cls for h in node.handlers[i + 1 :] for cls in _caught(module, h.type))
+                if not all(issubclass(cls, later) for cls in _caught(module, handler.type)):
+                    dead.append(f"{path.name}:{handler.lineno}")
+    return dead
+
+
+def test_no_handler_only_reraises_what_would_propagate():
+    assert dead_reraise_handlers(ROOT) == []

@@ -300,6 +300,28 @@ class TestStageGraph:
         assert graph.steps == 3 and len(result.histories) == 3
         assert graph.name.count("-ft") == 2
 
+    def test_names_say_what_trained(self):
+        graphs = [
+            *SWEEP.values(),
+            StageGraph(SWEEP["g3"].stages[:2] + (StageSpec("target", "ft"),)),  # g3 without its gentle stage
+            pipeline.parse_stage_graph("domain:rt:30 target:ft"),
+            pipeline.parse_stage_graph("domain:rt target:ft"),
+        ]
+        names = [graph.name for graph in graphs]
+        assert len(set(names)) == len(names), names
+        assert names[-1] == "domain-rt-target-ft"  # a stage that sets no knob renders as before
+        assert not any("," in name for name in names)  # metrics.csv holds the name unquoted
+
+    @pytest.mark.parametrize("freeze_below", [10, 11, 40])
+    def test_a_stage_that_freezes_every_layer_fails(self, freeze_below):
+        # the default spec's head is layer 9, so nothing would train
+        datasets = self.make_datasets()
+        graph = StageGraph((StageSpec("a", "rt"), StageSpec("b", "ft", epochs=1, freeze_below=freeze_below)))
+        cfg = TrainConfig(epochs=1, seed=3, learning_rate=0.02, batch_size=12)
+        with pytest.raises(ContractError, match=f"freeze_below {freeze_below} .* head is layer 9"):
+            run_stage_graph(graph, datasets, cfg)
+        assert run_stage_graph(with_ft(graph, freeze_below=9), datasets, cfg).histories[1]
+
     def test_invalid_graphs(self):
         with pytest.raises(ContractError):
             StageGraph((StageSpec("a", "ft"),))
@@ -585,7 +607,7 @@ class TestRoutedInference:
         for split in ("train", "test"):
             rows = ds.rows(split)
             images = ds.images[rows]
-            fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, ds.images, rows)
+            fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, images)
             ref = all_k_reference(bundle, images)
             assert fused.shape == ref.shape
             assert fused.tobytes() == ref.tobytes()
@@ -615,7 +637,7 @@ class TestRoutedInference:
         # a full chunk and a partial one: in the first subset 1 gets one
         # image, in the second it gets none
         ds, bundle = tiny_bundle
-        full = pipeline.FORWARD_CHUNK
+        full = convnet.FORWARD_CHUNK
         te = np.resize(ds.rows("test"), full + 4)  # the test split repeated
         data = pipeline.DatasetHandle(
             images=ds.images[te], labels=ds.labels[te], split=np.full(te.size, pipeline.TEST, np.uint8),
@@ -629,7 +651,7 @@ class TestRoutedInference:
             return designed[images.shape[0]]
 
         monkeypatch.setattr(subset, "select_batch", routed)
-        fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, data.images, data.rows("test"))
+        fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, data.images[data.rows("test")])
         ref = all_k_reference(bundle, data.images, np.concatenate([designed[full], designed[4]]))
         assert fused.tobytes() == ref.tobytes()
         assert np.array_equal(fusion.svm_predict_batch(bundle.svm, fused)[0],
@@ -649,7 +671,7 @@ class TestRoutedInference:
         te = ds.rows("test")
 
         def scored(rows):
-            fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, ds.images, rows)
+            fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, ds.images[rows])
             preds, scores = fusion.svm_predict_batch(bundle.svm, fused)
             return fused, scores, preds
 
@@ -661,7 +683,7 @@ class TestRoutedInference:
         for got, want in zip(scored(te[order]), ref):
             assert got.tobytes() == want[order].tobytes()
         for chunk in (1, 7, 64):
-            monkeypatch.setattr(pipeline, "FORWARD_CHUNK", chunk)
+            monkeypatch.setattr(convnet, "FORWARD_CHUNK", chunk)
             for got, want in zip(scored(te), ref):
                 assert got.tobytes() == want.tobytes()
 
@@ -687,9 +709,10 @@ class TestRoutedInference:
                 tracemalloc.stop()
 
         data, twice = test_split(2400), test_split(4800)
-        chunk = test_split(pipeline.FORWARD_CHUNK)
+        # the reference gathers its chunk's images inside the traced call, as evaluate does
+        chunk = test_split(convnet.FORWARD_CHUNK)
         one_chunk = traced_peak(
-            pipeline.fuse_dataset_features, bundle.base, bundle.ensemble, chunk.images, chunk.rows("test")
+            lambda: pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, chunk.images[chunk.rows("test")])
         )
         peak = traced_peak(evaluate, bundle, data, "test")
         assert data.images.nbytes > 8 << 20
@@ -705,7 +728,7 @@ class TestRoutedInference:
 
         monkeypatch.setattr(pipeline, "metrics_from_predictions", recording)
         evaluate(bundle, data, "test")
-        fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, data.images, data.rows("test"))
+        fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, data.images[data.rows("test")])
         assert made[0].dtype == np.int64
         assert np.array_equal(made[0], fusion.svm_predict_batch(bundle.svm, fused)[0])
 
@@ -842,9 +865,8 @@ class TestPersistence:
         a, b = evaluate(bundle, ds, "test"), evaluate(loaded, ds, "test")
         assert (a.mean_accuracy, a.overall_accuracy) == (b.mean_accuracy, b.overall_accuracy)
         assert np.array_equal(a.confusion, b.confusion)
-        rows = np.arange(ds.labels.size)  # both splits
-        preds = [
-            fusion.svm_predict_batch(x.svm, pipeline.fuse_dataset_features(x.base, x.ensemble, ds.images, rows))[0]
+        preds = [  # both splits
+            fusion.svm_predict_batch(x.svm, pipeline.fuse_dataset_features(x.base, x.ensemble, ds.images))[0]
             for x in (bundle, loaded)
         ]
         assert np.array_equal(*preds)

@@ -157,7 +157,7 @@ class TestSubsetSpecialization:
             cfg = TrainConfig(epochs=15, seed=derive_seed(seed, 2000), learning_rate=0.02)
             params, _ = convnet.train(spec, params, images, labels, cfg)
             base = Network(spec, params)
-            feats = pipeline.extract_features(base, images, Tap.FC_PENULTIMATE)
+            feats = base.forward(images, Tap.FC_PENULTIMATE)
             lda = cluster.lda_fit(feats, labels, out_dim=min(ds.n_classes - 1, 32))
             cmap, _, _ = cluster.precluster_classes(
                 feats, labels, Tap.FC_PENULTIMATE, lda, 2, Rng(derive_seed(seed, 101))
