@@ -478,7 +478,6 @@ class TrainConfig:
     lr_step_factor: float = 0.1  # the rate's multiplier every lr_step_every epochs; 1 keeps it constant
     lr_step_every: int = 20
     seed: int = 0
-    freeze_below: int | None = None
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -492,19 +491,14 @@ class TrainConfig:
         if self.lr_step_every < 1 or self.lr_step_factor <= 0:
             raise ContractError("lr_step_every must be >= 1 and lr_step_factor > 0")
 
-    def for_run(
-        self, seed: int, finetune: bool = False, epochs=None, learning_rate=None, freeze_below=None
-    ) -> TrainConfig:
+    def for_run(self, seed: int, finetune: bool = False, epochs=None, learning_rate=None) -> TrainConfig:
         """This config with one run's seed and overrides.  An override left at
         None keeps this config's value, except that a fine-tune run trains at
         FINETUNE_LR_FACTOR times this config's learning rate."""
         if learning_rate is None:
             learning_rate = self.learning_rate * FINETUNE_LR_FACTOR if finetune else self.learning_rate
         epochs = self.epochs if epochs is None else epochs
-        freeze_below = self.freeze_below if freeze_below is None else freeze_below
-        return dataclasses.replace(
-            self, seed=seed, epochs=epochs, learning_rate=learning_rate, freeze_below=freeze_below
-        )
+        return dataclasses.replace(self, seed=seed, epochs=epochs, learning_rate=learning_rate)
 
     def lr_at(self, epoch: int) -> float:
         return self.learning_rate * self.lr_step_factor ** (epoch // self.lr_step_every)
@@ -640,12 +634,13 @@ def train(
     images: np.ndarray,
     labels,
     cfg: TrainConfig,
+    freeze_below: int | None = None,
 ) -> tuple[NetParams, list[float]]:
     """SGD with momentum and weight decay; returns new params and per-epoch mean loss.
 
-    The epoch shuffle order is fully determined by cfg.seed, so identical
-    inputs and config reproduce the run bit for bit.  Input params are never
-    mutated.
+    Layers with index below ``freeze_below`` keep their parameters.  The epoch
+    shuffle order is fully determined by cfg.seed, so identical inputs and
+    config reproduce the run bit for bit.  Input params are never mutated.
     """
     images = _check_batch(spec, images)
     labels = _check_labels(labels, spec.class_count)
@@ -660,10 +655,10 @@ def train(
     current = params.map(lambda a: a.copy())
     velocity = params.map(np.zeros_like)
     rng = Rng(cfg.seed)
-    trainable = [i for i, lp in enumerate(current.layers) if lp is not None and i >= (cfg.freeze_below or 0)]
+    trainable = [i for i, lp in enumerate(current.layers) if lp is not None and i >= (freeze_below or 0)]
     if not trainable:
         head = spec.head_index()
-        raise ContractError(f"freeze_below {cfg.freeze_below} leaves nothing to train: the head is layer {head}")
+        raise ContractError(f"freeze_below {freeze_below} leaves nothing to train: the head is layer {head}")
     history: list[float] = []
     for epoch in range(cfg.epochs):
         lr = cfg.lr_at(epoch)
@@ -671,7 +666,7 @@ def train(
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grads = loss_and_grads(spec, current, images[idx], labels[idx], cfg.freeze_below)
+            loss, grads = loss_and_grads(spec, current, images[idx], labels[idx], freeze_below)
             loss_sum += loss * idx.size
             for i in trainable:
                 lp, vp, gp = current.layers[i], velocity.layers[i], grads.layers[i]
@@ -706,7 +701,13 @@ def reinit_head(
 
 
 def fit(
-    images, labels, n_classes: int, cfg: TrainConfig, init_seed: int, trunk: Network | None = None
+    images,
+    labels,
+    n_classes: int,
+    cfg: TrainConfig,
+    init_seed: int,
+    trunk: Network | None = None,
+    freeze_below: int | None = None,
 ) -> tuple[Network, list[float]]:
     """Build a net with an n_classes head, train it on (images, labels) and
     return it with its per-epoch mean loss.  The only place a net is built
@@ -714,7 +715,8 @@ def fit(
 
     With no trunk the net is the default spec, initialized from init_seed;
     with one it is the trunk with a fresh head drawn from init_seed.  The
-    batch is capped at the training set size.
+    batch is capped at the training set size.  Layers below freeze_below do
+    not train.
     """
     if trunk is None:
         spec = default_spec(images.shape[1:], n_classes)
@@ -722,5 +724,5 @@ def fit(
     else:
         spec, params = reinit_head(trunk.spec, trunk.params, n_classes, Rng(init_seed))
     cfg = dataclasses.replace(cfg, batch_size=min(cfg.batch_size, len(labels)))
-    params, history = train(spec, params, images, labels, cfg)
+    params, history = train(spec, params, images, labels, cfg, freeze_below)
     return Network(spec, params), history

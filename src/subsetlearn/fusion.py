@@ -46,25 +46,26 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     return m / safe
 
 
-def fuse_batch(base_feats: np.ndarray, subset_feats: np.ndarray, chosen: np.ndarray) -> np.ndarray:
-    """Concatenate each l2-normalized base feature with its K max-voted,
-    l2-normalized subset features in fixed subset order: (B, D_base + K * D_subset).
+def fuse_batch(base_feats: np.ndarray, subset_feats: np.ndarray, chosen: np.ndarray, k: int) -> np.ndarray:
+    """Each l2-normalized base feature, then k subset blocks in fixed subset
+    order: (B, D_base + k * D_subset).  The only place a fused row is built.
 
-    Max voting keeps only the chosen subset's block and zeroes the other K - 1,
-    so every row has at most one nonzero subset block.
+    Max voting: block chosen[b] holds the l2-normalized subset_feats[b], the
+    chosen subset net's feature, and the other k - 1 blocks are zero.
     """
     base_feats = numkit.as_matrix(base_feats, "base_feats")
-    subset_feats = np.asarray(subset_feats, dtype=np.float64)
-    if subset_feats.ndim != 3 or subset_feats.shape[0] != base_feats.shape[0]:
-        raise ShapeError("subset features must be (B, K, D) aligned with base features")
-    b, k, d = subset_feats.shape
+    subset_feats = numkit.as_matrix(subset_feats, "subset_feats")
+    b, d = subset_feats.shape
+    if b != base_feats.shape[0]:
+        raise ShapeError("subset features must be (B, D) aligned with base features")
     chosen = numkit.as_ints(chosen, "chosen")
     if chosen.shape != (b,) or (chosen.size and (chosen.min() < 0 or chosen.max() >= k)):
         raise ContractError("chosen indices must be (B,) values in [0, K)")
-    mask = np.zeros((b, k))
-    mask[np.arange(b), chosen] = 1.0
-    subset_block = l2_normalize_rows(subset_feats) * mask[:, :, None]
-    return np.concatenate([l2_normalize_rows(base_feats), subset_block.reshape(b, k * d)], axis=1)
+    fused = np.zeros((b, base_feats.shape[1] + k * d))
+    fused[:, : base_feats.shape[1]] = l2_normalize_rows(base_feats)
+    blocks = fused[:, base_feats.shape[1] :].reshape(b, k, d)  # a view: splitting the last axis copies nothing
+    blocks[np.arange(b), chosen] = l2_normalize_rows(subset_feats)
+    return fused
 
 
 def svm_train(

@@ -193,8 +193,10 @@ class StageGraph:
             if stage.mode != "ft":
                 raise ContractError("every stage after the first must be ft")
         for stage in self.stages:
-            if stage.epochs is not None and stage.epochs < 1:
-                raise ContractError(f"stage {stage.dataset}:{stage.mode} epochs must be >= 1")
+            for knob, low in (("epochs", 1), ("learning_rate", 0), ("freeze_below", 0)):
+                value = getattr(stage, knob)
+                if value is not None and value < low:
+                    raise ContractError(f"stage {stage.dataset}:{stage.mode} {knob} must be >= {low}")
 
     @property
     def name(self) -> str:
@@ -297,13 +299,8 @@ def run_stage_graph(
         rows = ds.rows("train")
         images = labels = None  # let the last stage's train copy go before this one is made
         images, labels = ds.images[rows], ds.labels[rows]
-        cfg = base_cfg.for_run(
-            derive_seed(base_cfg.seed, 2000 + i),
-            finetune=stage.mode == "ft",
-            epochs=stage.epochs,
-            learning_rate=stage.learning_rate,
-            freeze_below=stage.freeze_below,
-        )
+        seed = derive_seed(base_cfg.seed, 2000 + i)
+        cfg = base_cfg.for_run(seed, stage.mode == "ft", stage.epochs, stage.learning_rate)
         knobs = (i, stage.mode, cfg.epochs, stage.learning_rate, stage.freeze_below, ds.n_classes)
         prefix.update(repr(knobs + (images.shape, images.dtype, labels.dtype)).encode())
         prefix.update(np.ascontiguousarray(images))
@@ -315,9 +312,8 @@ def run_stage_graph(
             histories.append(list(history))
             continue
         # net is None exactly at the first stage, the only rt one
-        net, history = convnet.fit(
-            images, labels, ds.n_classes, cfg, derive_seed(base_cfg.seed, 1000 + i), trunk=net
-        )
+        init_seed = derive_seed(base_cfg.seed, 1000 + i)
+        net, history = convnet.fit(images, labels, ds.n_classes, cfg, init_seed, net, stage.freeze_below)
         _cache_stage(key, net, history)
         histories.append(history)
     return StageResult(net=net, histories=histories)
@@ -401,7 +397,7 @@ class ModelBundle:
         else:
             table.append(("selector kmeans/centroids", selector.kmeans.centroids.shape, (k, d)))
         table += [
-            ("svm/weights", svm.weights.shape, (c, fused_width(self.base, self.ensemble))),
+            ("svm/weights", svm.weights.shape, (c, big_d + k * tap_width)),
             ("svm/biases", svm.biases.shape, (c,)),
             ("svm/checkpoint_objectives", svm.checkpoint_objectives.shape, (len(svm.checkpoint_epochs), c)),
         ]
@@ -451,29 +447,19 @@ def precluster(
     return _cluster.precluster_classes(feats, labels, tap, lda, k, rng, restarts=restarts)
 
 
-def fused_width(bundle_base: Network, ensemble: SubsetEnsemble) -> int:
-    """Width of a fused feature row: the base feature, then K subset blocks
-    (the layout of fusion.fuse_batch)."""
-    return bundle_base.spec.tap_dim(Tap.FC_PENULTIMATE) + ensemble.k * ensemble.feature_dim
-
-
 def fuse_dataset_features(bundle_base: Network, ensemble: SubsetEnsemble, images: np.ndarray) -> np.ndarray:
     """Base feature + the ensemble selector's choice + the chosen subset
     net's feature, fused per image into one (len(images), D) matrix.
 
-    Per chunk of convnet.FORWARD_CHUNK images the selector routes first, then
-    each subset net runs only on the images routed to it: every image passes
-    through the base net, the selector (a network selector's own net; the
-    centroid selector reuses the base feature) and exactly one subset net.
+    The selector routes first, then each subset net runs only on the images
+    routed to it: every image passes through the base net, the selector (a
+    network selector's own net; the centroid selector reuses the base
+    feature) and exactly one subset net.
     """
-    fused = np.empty((images.shape[0], fused_width(bundle_base, ensemble)))
-    for i in range(0, images.shape[0], convnet.FORWARD_CHUNK):
-        chunk = images[i : i + convnet.FORWARD_CHUNK]
-        base_feats = bundle_base.forward(chunk, Tap.FC_PENULTIMATE)
-        chosen = subset.select_batch(ensemble.selector, chunk, base_feats)
-        subset_feats = subset.extract_subset_features(ensemble, chunk, chosen)
-        fused[i : i + chunk.shape[0]] = fusion.fuse_batch(base_feats, subset_feats, chosen)
-    return fused
+    base_feats = bundle_base.forward(images, Tap.FC_PENULTIMATE)
+    chosen = subset.select_batch(ensemble.selector, images, base_feats)
+    subset_feats = subset.extract_subset_features(ensemble, images, chosen)
+    return fusion.fuse_batch(base_feats, subset_feats, chosen, ensemble.k)
 
 
 def build_system(
@@ -616,7 +602,7 @@ def _spec_from_json(obj: dict) -> NetSpec:
         if not (isinstance(shape, list) and len(shape) == 3 and all(type(v) is int for v in shape)):
             raise ContractError(f"input must be a list of 3 integers, got {shape!r}")
         return NetSpec(layers, tuple(shape))
-    except (KeyError, TypeError, ValueError, ContractError, ShapeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ContractError and ShapeError are ValueErrors
         raise InvariantError(f"malformed network description: {exc}") from exc
 
 

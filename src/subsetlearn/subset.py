@@ -150,20 +150,18 @@ def select_batch(selector: Selector, images: np.ndarray, base_feats: np.ndarray)
 
 
 def extract_subset_features(ensemble: SubsetEnsemble, images: np.ndarray, chosen) -> np.ndarray:
-    """Tap activation of each image's chosen subset net, in block chosen[b] of
-    row b: (B, K, D), with every other block zero.
+    """Tap activation of each image's chosen subset net: row b is net
+    chosen[b]'s feature of image b, (B, D).
 
     Each net runs once, on the rows routed to it, and a net no row chose does
-    not run.  The blocks left zero are the ones max voting zeroes.
+    not run.
     """
     chosen = numkit.as_ints(chosen, "chosen")
-    if chosen.shape != (images.shape[0],) or (
-        chosen.size and (chosen.min() < 0 or chosen.max() >= ensemble.k)
-    ):
+    if chosen.shape != (images.shape[0],) or (chosen.size and (chosen.min() < 0 or chosen.max() >= ensemble.k)):
         raise ContractError("chosen indices must be (B,) values in [0, K)")
-    feats = np.zeros((images.shape[0], ensemble.k, ensemble.feature_dim))
+    feats = np.empty((images.shape[0], ensemble.feature_dim))
     for j, net in enumerate(ensemble.nets):
         rows = np.flatnonzero(chosen == j)
         if rows.size:
-            feats[rows, j] = net.forward(images[rows], Tap.FC_PENULTIMATE)
+            feats[rows] = net.forward(images[rows], Tap.FC_PENULTIMATE)
     return feats

@@ -169,9 +169,9 @@ def test_criterion_05_fusion_invariants():
     d_g, k, d_s = 6, 4, 5
     n = 10_000
     base = rng.normal(size=(n, d_g))
-    feats = rng.normal(size=(n, k, d_s))
+    feats = rng.normal(size=(n, d_s))
     chosen = rng.integers(0, k, size=n)
-    fused = fusion.fuse_batch(base, feats, chosen)
+    fused = fusion.fuse_batch(base, feats, chosen, k)
     ok_width = fused.shape == (n, d_g + k * d_s)
     blocks = fused[:, d_g:].reshape(n, k, d_s)
     nonzero = (np.abs(blocks) > 0.0).any(axis=2)
@@ -179,7 +179,7 @@ def test_criterion_05_fusion_invariants():
         (nonzero[np.arange(n), chosen]).all()
     )
     scales = 10.0 ** rng.uniform(-2, 2, size=(n, 1))
-    rescaled = fusion.fuse_batch(base * scales, feats * scales[:, :, None], chosen)
+    rescaled = fusion.fuse_batch(base * scales, feats * scales, chosen, k)
     ok_scaling = float(np.abs(rescaled - fused).max()) < 1e-12
     labels = rng.integers(0, 3, size=n)
     labels[:3] = [0, 1, 2]

@@ -603,8 +603,8 @@ class TestTrain:
         params = convnet.init_params(spec, Rng(1))
         images = Rng(2).normal((8, 2, 8, 8))
         labels = np.arange(8) % 3
-        cfg = TrainConfig(epochs=1, batch_size=4, seed=0, freeze_below=6)
-        out, _ = convnet.train(spec, params, images, labels, cfg)
+        cfg = TrainConfig(epochs=1, batch_size=4, seed=0)
+        out, _ = convnet.train(spec, params, images, labels, cfg, freeze_below=6)
         for i in range(6):
             if params.layers[i] is not None:
                 assert np.array_equal(out.layers[i].weight, params.layers[i].weight)

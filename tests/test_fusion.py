@@ -24,11 +24,11 @@ class TestL2Normalize:
 
 class TestFuse:
     def test_hand_computed_chosen_zero(self):
-        out = fusion.fuse_batch(np.array([[1.0, 0.0]]), np.array([[[0.0, 2.0], [3.0, 0.0]]]), np.array([0]))
+        out = fusion.fuse_batch(np.array([[1.0, 0.0]]), np.array([[0.0, 2.0]]), np.array([0]), 2)
         assert np.array_equal(out, [[1, 0, 0, 1, 0, 0]])
 
     def test_hand_computed_chosen_one(self):
-        out = fusion.fuse_batch(np.array([[1.0, 0.0]]), np.array([[[0.0, 2.0], [3.0, 0.0]]]), np.array([1]))
+        out = fusion.fuse_batch(np.array([[1.0, 0.0]]), np.array([[3.0, 0.0]]), np.array([1]), 2)
         assert np.array_equal(out, [[1, 0, 0, 0, 1, 0]])
 
     def test_output_width(self):
@@ -36,7 +36,7 @@ class TestFuse:
         for _ in range(20):
             b, dg, k, ds = rng.integers(1, 4), rng.integers(1, 6), rng.integers(1, 5), rng.integers(1, 6)
             out = fusion.fuse_batch(
-                rng.normal(size=(b, dg)), rng.normal(size=(b, k, ds)), rng.integers(0, k, size=b)
+                rng.normal(size=(b, dg)), rng.normal(size=(b, ds)), rng.integers(0, k, size=b), k
             )
             assert out.shape == (b, dg + k * ds)
 
@@ -44,27 +44,31 @@ class TestFuse:
         rng = np.random.default_rng(2)
         n, k, ds = 200, 4, 3
         chosen = rng.integers(0, k, size=n)
-        out = fusion.fuse_batch(rng.normal(size=(n, 2)), rng.normal(size=(n, k, ds)), chosen)
+        feats = rng.normal(size=(n, ds))
+        out = fusion.fuse_batch(rng.normal(size=(n, 2)), feats, chosen, k)
         blocks = out[:, 2:].reshape(n, k, ds)
         for i in range(n):
             nonzero_blocks = [j for j in range(k) if np.any(blocks[i, j] != 0.0)]
             assert nonzero_blocks == [chosen[i]]
+        assert np.array_equal(blocks[np.arange(n), chosen], fusion.l2_normalize_rows(feats))
 
     def test_positive_scaling_invariance(self):
         rng = np.random.default_rng(3)
         base = rng.normal(size=(1, 4))
-        feats = rng.normal(size=(1, 3, 5))
+        feats = rng.normal(size=(1, 5))
         chosen = np.array([1])
-        ref = fusion.fuse_batch(base, feats, chosen)
+        ref = fusion.fuse_batch(base, feats, chosen, 3)
         for scale in (0.25, 4.0, 3.7, 1e-3, 1e3):
-            scaled = fusion.fuse_batch(scale * base, scale * feats, chosen)
+            scaled = fusion.fuse_batch(scale * base, scale * feats, chosen, 3)
             assert np.abs(scaled - ref).max() < 1e-12
 
     def test_fuse_batch_shape_checks(self):
         with pytest.raises(ShapeError):
-            fusion.fuse_batch(np.zeros((3, 2)), np.zeros((4, 2, 2)), np.zeros(3, dtype=int))
+            fusion.fuse_batch(np.zeros((3, 2)), np.zeros((4, 2)), np.zeros(3, dtype=int), 2)
+        with pytest.raises(ShapeError):
+            fusion.fuse_batch(np.zeros((3, 2)), np.zeros((3, 2, 2)), np.zeros(3, dtype=int), 2)
         with pytest.raises(ContractError):
-            fusion.fuse_batch(np.zeros((3, 2)), np.zeros((3, 2, 2)), np.array([0, 1, 2]))
+            fusion.fuse_batch(np.zeros((3, 2)), np.zeros((3, 2)), np.array([0, 1, 2]), 2)
 
 
 def blobs(rng, centers, n, spread=0.4):
@@ -339,13 +343,13 @@ class TestSvmPredict:
     def test_scaling_before_fuse_keeps_svm_argmax(self):
         rng = np.random.default_rng(7)
         base = rng.normal(size=(30, 3))
-        feats = rng.normal(size=(30, 2, 3))
+        feats = rng.normal(size=(30, 3))
         chosen = rng.integers(0, 2, size=30)
-        fused = fusion.fuse_batch(base, feats, chosen)
+        fused = fusion.fuse_batch(base, feats, chosen, 2)
         y = rng.integers(0, 2, size=30)
         y[:2] = [0, 1]
         model = fusion.svm_train(fused, y, lam=1e-2, epochs=80)
-        scaled = fusion.fuse_batch(2.5 * base, 0.3 * feats, chosen)
+        scaled = fusion.fuse_batch(2.5 * base, 0.3 * feats, chosen, 2)
         a, _ = fusion.svm_predict_batch(model, fused)
         b, _ = fusion.svm_predict_batch(model, scaled)
         assert np.array_equal(a, b)

@@ -1,4 +1,5 @@
-"""The product carries no code that only tests use, and no handler that does nothing."""
+"""The product carries no code that only tests use, no handler that does
+nothing, and no except clause that names a class twice over."""
 
 import ast
 import builtins
@@ -76,25 +77,47 @@ def _caught(module, node) -> tuple[type, ...]:
     raise AssertionError(f"cannot resolve {ast.unparse(node)}")
 
 
+def _product_nodes(root: Path):
+    """(file path, imported module, node) for every AST node in src/subsetlearn."""
+    for path in sorted((root / "src" / "subsetlearn").glob("*.py")):
+        module = importlib.import_module(f"subsetlearn.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path, module, node
+
+
 def dead_reraise_handlers(root: Path) -> list[str]:
     """Every handler in src/subsetlearn whose whole body is a bare ``raise``
     although no later handler of its try would catch what it names: such a
     clause only re-raises what would propagate anyway."""
     dead = []
-    for path in sorted((root / "src" / "subsetlearn").glob("*.py")):
-        module = importlib.import_module(f"subsetlearn.{path.stem}")
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if not isinstance(node, ast.Try):
+    for path, module, node in _product_nodes(root):
+        if not isinstance(node, ast.Try):
+            continue
+        for i, handler in enumerate(node.handlers):
+            body = handler.body
+            if not (len(body) == 1 and isinstance(body[0], ast.Raise) and body[0].exc is None):
                 continue
-            for i, handler in enumerate(node.handlers):
-                body = handler.body
-                if not (len(body) == 1 and isinstance(body[0], ast.Raise) and body[0].exc is None):
-                    continue
-                later = tuple(cls for h in node.handlers[i + 1 :] for cls in _caught(module, h.type))
-                if not all(issubclass(cls, later) for cls in _caught(module, handler.type)):
-                    dead.append(f"{path.name}:{handler.lineno}")
+            later = tuple(cls for h in node.handlers[i + 1 :] for cls in _caught(module, h.type))
+            if not all(issubclass(cls, later) for cls in _caught(module, handler.type)):
+                dead.append(f"{path.name}:{handler.lineno}")
     return dead
 
 
 def test_no_handler_only_reraises_what_would_propagate():
     assert dead_reraise_handlers(ROOT) == []
+
+
+def redundant_except_classes(root: Path) -> list[str]:
+    """Every except tuple in src/subsetlearn that names a class which another
+    class of the same tuple already covers."""
+    redundant = []
+    for path, module, node in _product_nodes(root):
+        if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Tuple):
+            caught = _caught(module, node.type)
+            if any(issubclass(a, b) for i, a in enumerate(caught) for j, b in enumerate(caught) if i != j):
+                redundant.append(f"{path.name}:{node.lineno}")
+    return redundant
+
+
+def test_no_except_tuple_names_a_class_it_already_covers():
+    assert redundant_except_classes(ROOT) == []

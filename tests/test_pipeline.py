@@ -330,6 +330,15 @@ class TestStageGraph:
         with pytest.raises(ContractError):
             StageGraph(())
 
+    @pytest.mark.parametrize("knob", [dict(learning_rate=-1.0), dict(freeze_below=-5)])
+    def test_bad_stage_knob_fails_when_the_graph_is_built(self, monkeypatch, knob):
+        # before any stage trains, not on reaching the bad one
+        calls = []
+        monkeypatch.setattr(convnet, "train", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ContractError, match=f"{next(iter(knob))} must be >= 0"):
+            StageGraph((StageSpec("a", "rt"), StageSpec("b", "ft", **knob)))
+        assert calls == []
+
     def test_missing_dataset(self):
         with pytest.raises(ContractError):
             run_stage_graph(
@@ -465,7 +474,7 @@ FRACTIONAL_LABEL_CALLS = {
         d["cmap"], d["images"], d["labels"] + 0.5, d["net"], d["cfg"]
     ),
     "pipeline.metrics_from_predictions": lambda d: metrics_from_predictions([0.5, 1.7], [0, 1], 2),
-    "fusion.fuse_batch": lambda d: fusion.fuse_batch(np.ones((2, 3)), np.ones((2, 2, 3)), [0.7, 1.2]),
+    "fusion.fuse_batch": lambda d: fusion.fuse_batch(np.ones((2, 3)), np.ones((2, 3)), [0.7, 1.2], 2),
     "subset.extract_subset_features": lambda d: subset.extract_subset_features(
         subset.SubsetEnsemble(nets=(d["net"], d["net"]), selector=d["net"]), d["images"][:2], [0.7, 1.2]
     ),
@@ -575,12 +584,16 @@ def centroid_bundle():
 
 
 def all_k_reference(bundle, images, chosen=None):
-    """Fused features the dense way: every subset net on every image, then max voting."""
+    """Fused features the dense way: every subset net on every image, then max
+    voting zeroes the losers' blocks, built here rather than by fuse_batch."""
     base = bundle.base.forward(images, Tap.FC_PENULTIMATE)
     if chosen is None:
         chosen = subset.select_batch(bundle.ensemble.selector, images, base)
-    every = np.stack([net.forward(images, Tap.FC_PENULTIMATE) for net in bundle.ensemble.nets], axis=1)
-    return fusion.fuse_batch(base, every, chosen)
+    blocks = [
+        np.where((chosen == j)[:, None], fusion.l2_normalize_rows(net.forward(images, Tap.FC_PENULTIMATE)), 0.0)
+        for j, net in enumerate(bundle.ensemble.nets)
+    ]
+    return np.concatenate([fusion.l2_normalize_rows(base)] + blocks, axis=1)
 
 
 def count_forward_images(monkeypatch, bundle):
@@ -651,7 +664,11 @@ class TestRoutedInference:
             return designed[images.shape[0]]
 
         monkeypatch.setattr(subset, "select_batch", routed)
-        fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, data.images[data.rows("test")])
+        images = data.images[data.rows("test")]
+        fused = np.concatenate([  # chunk by chunk, as evaluate fuses
+            pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, images[i : i + full])
+            for i in range(0, images.shape[0], full)
+        ])
         ref = all_k_reference(bundle, data.images, np.concatenate([designed[full], designed[4]]))
         assert fused.tobytes() == ref.tobytes()
         assert np.array_equal(fusion.svm_predict_batch(bundle.svm, fused)[0],
@@ -662,6 +679,26 @@ class TestRoutedInference:
             ("base", full), ("selector", full), ("subset0", full - 1), ("subset1", 1),
             ("base", 4), ("selector", 4), ("subset0", 4),
         ]
+
+    def test_one_forward_per_net_for_any_number_of_images(self, monkeypatch, tiny_bundle):
+        # more images than convnet.FORWARD_CHUNK still run each net once: the
+        # nets bound their own memory, so fusion does not chunk
+        ds, bundle = tiny_bundle
+        full = convnet.FORWARD_CHUNK
+        images = ds.images[np.resize(np.arange(ds.images.shape[0]), 2 * full + 5)]
+        base = bundle.base.forward(images, Tap.FC_PENULTIMATE)
+        chosen = subset.select_batch(bundle.ensemble.selector, images, base)
+        chunked = np.concatenate([
+            pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, images[i : i + full])
+            for i in range(0, images.shape[0], full)
+        ])
+        calls = count_forward_images(monkeypatch, bundle)
+        fused = pipeline.fuse_dataset_features(bundle.base, bundle.ensemble, images)
+        counts = np.bincount(chosen, minlength=bundle.ensemble.k)
+        routed = [(f"subset{j}", int(n)) for j, n in enumerate(counts) if n]
+        assert len(routed) > 1
+        assert calls == [("base", images.shape[0]), ("selector", images.shape[0])] + routed
+        assert fused.tobytes() == chunked.tobytes()
 
     @pytest.mark.parametrize("which", ["tiny_bundle", "centroid_bundle"])
     def test_batch_mates_do_not_change_an_image(self, request, monkeypatch, which):

@@ -260,14 +260,13 @@ class TestExtractSubsetFeatures:
         _, images, _ = toy_data
         chosen = np.array([0, 1, 1, 0, 1, 1])
         feats = subset.extract_subset_features(ensemble, images[:6], chosen)
-        assert feats.shape == (6, 2, ensemble.feature_dim)
+        assert feats.shape == (6, ensemble.feature_dim)
         for k, net in enumerate(ensemble.nets):
             mine = chosen == k
-            assert np.array_equal(feats[mine, k, :], net.forward(images[:6][mine], Tap.FC_PENULTIMATE))
-            assert not feats[~mine, k, :].any()
+            assert np.array_equal(feats[mine], net.forward(images[:6][mine], Tap.FC_PENULTIMATE))
             # a row's features do not depend on which other rows share its batch
             dense = net.forward(images[:6], Tap.FC_PENULTIMATE)
-            assert np.abs(feats[mine, k, :] - dense[mine]).max() <= 1e-12
+            assert np.abs(feats[mine] - dense[mine]).max() <= 1e-12
 
     def test_each_net_runs_only_on_its_rows(self, toy_data, ensemble, monkeypatch):
         _, images, _ = toy_data
@@ -280,8 +279,9 @@ class TestExtractSubsetFeatures:
 
         monkeypatch.setattr(convnet, "forward", counting)
         feats = subset.extract_subset_features(ensemble, images[:5], np.zeros(5, dtype=np.int64))
+        # subset 1 got no image and its net never ran
         assert [(p is ensemble.nets[0].params, n) for p, n in seen] == [(True, 5)]
-        assert not feats[:, 1, :].any()  # subset 1 got no image and its net never ran
+        assert np.array_equal(feats, ensemble.nets[0].forward(images[:5], Tap.FC_PENULTIMATE))
         seen.clear()
         subset.extract_subset_features(ensemble, images[:5], np.array([0, 0, 1, 0, 0]))
         assert [n for _, n in seen] == [4, 1]
@@ -291,7 +291,7 @@ class TestExtractSubsetFeatures:
         ens = subset.SubsetEnsemble(nets=(base_net, base_net), selector=base_net)
         first = subset.extract_subset_features(ens, images[:4], np.zeros(4, dtype=np.int64))
         second = subset.extract_subset_features(ens, images[:4], np.ones(4, dtype=np.int64))
-        assert np.array_equal(first[:, 0, :], second[:, 1, :])
+        assert np.array_equal(first, second)
 
     @pytest.mark.parametrize("chosen", [[0, 2, 1, 0], [0, -1, 1, 0], [0, 1, 1]])
     def test_bad_choice_rejected(self, toy_data, ensemble, chosen):
