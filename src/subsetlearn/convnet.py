@@ -229,18 +229,29 @@ class MaxPool(Layer):
     def backward(self, dy, cache, lp, need_dx):
         """Each output's gradient goes to the first input of its window, in
         row-major order, that equals the max: argmax's choice for finite
-        inputs.  Overlapping windows add up."""
+        inputs.  Overlapping windows add up; windows that do not overlap
+        (kernel == stride) write each of their slots once, and the rows and
+        columns past the last window are zeroed alone."""
         if not need_dx:
             return None, None
         x, y = cache
+        k, s = self.kernel, self.stride
         ho, wo = y.shape[1:3]
-        dx = np.zeros(x.shape)
+        if k == s:
+            dx = np.empty(x.shape)
+            dx[:, k * ho :] = 0.0
+            dx[:, :, k * wo :] = 0.0
+        else:
+            dx = np.zeros(x.shape)
         pending = np.ones(y.shape, np.bool_)  # outputs whose gradient is not yet placed
         for i, j in self._offsets():
-            hit = (_shifted(x, i, j, self.stride, ho, wo) == y) & pending
+            hit = (_shifted(x, i, j, s, ho, wo) == y) & pending
             pending &= ~hit
-            dxs = _shifted(dx, i, j, self.stride, ho, wo)
-            dxs += dy * hit
+            dxs = _shifted(dx, i, j, s, ho, wo)
+            if k == s:
+                np.multiply(dy, hit, out=dxs)
+            else:
+                dxs += dy * hit
         return dx, None
 
 
@@ -546,6 +557,19 @@ def _check_batch(spec: NetSpec, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
+def _run_order(layers) -> list[int]:
+    """Indices of layers in the order they run: a relu directly followed by
+    a max-pool runs after it, on 1/k^2 as many values.  Relu is
+    nondecreasing, so the max commutes with it; and where relu passes a
+    gradient the max is positive, so first-max routing picks the same input.
+    Only stateless layers move."""
+    order = list(range(len(layers)))
+    for p in range(len(order) - 1):
+        if isinstance(layers[order[p]], Relu) and isinstance(layers[order[p + 1]], MaxPool):
+            order[p], order[p + 1] = order[p + 1], order[p]
+    return order
+
+
 def forward(spec: NetSpec, params: NetParams, batch: np.ndarray, tap: Tap = Tap.HEAD) -> np.ndarray:
     """Activations at the requested tap for a batch of any size, computed
     FORWARD_CHUNK images at a time into one array.  Pure and reentrant.
@@ -553,18 +577,13 @@ def forward(spec: NetSpec, params: NetParams, batch: np.ndarray, tap: Tap = Tap.
     Runs the layers up to the tap only, through ``Layer.infer``, and keeps no
     activation beyond the layer that needs it.  The batch is cropped to
     ``spec.input_extent`` first: valid windows on a top-left crop give
-    exactly the top-left outputs that reach the flatten layer.  A relu
-    directly followed by a max-pool runs after it, on 1/k^2 as many values:
-    relu is nondecreasing, so the max commutes with it and the output is
-    unchanged.  Every product is batch-invariant, so an image's result does
-    not depend on its batch-mates or on the chunks."""
+    exactly the top-left outputs that reach the flatten layer.  The layers
+    run in ``_run_order``.  Every product is batch-invariant, so an image's
+    result does not depend on its batch-mates or on the chunks."""
     batch = _check_batch(spec, batch)
     h, w = spec.input_extent
     index = spec.tap_index(tap)
-    steps = list(zip(spec.layers[:index], params.layers[:index]))
-    for i in range(len(steps) - 1):
-        if isinstance(steps[i][0], Relu) and isinstance(steps[i + 1][0], MaxPool):
-            steps[i], steps[i + 1] = steps[i + 1], steps[i]
+    steps = [(spec.layers[i], params.layers[i]) for i in _run_order(spec.layers[:index])]
     out = np.empty((batch.shape[0],) + spec.layer_shapes[index - 1])  # the tap's shape, flat for every tap
     for start in range(0, batch.shape[0], FORWARD_CHUNK):
         x = np.ascontiguousarray(batch[start : start + FORWARD_CHUNK, :, :h, :w].transpose(0, 2, 3, 1))
@@ -592,9 +611,13 @@ def loss_and_grads(
 ) -> tuple[float, NetParams]:
     """Mean cross-entropy and its exact analytic gradients.
 
-    Layers with index below ``freeze_below`` get exactly-zero gradients.
-    Backpropagation stops at the lowest layer that needs a gradient, and the
-    gradient w.r.t. that layer's input is not computed.
+    As in ``forward``, the batch is cropped to ``spec.input_extent``, the
+    top-left pixels that reach the flatten layer (the rest would get exactly
+    zero gradient), and the layers run in ``_run_order``; backward walks the
+    same order in reverse.  Layers with index below ``freeze_below`` get
+    exactly-zero gradients.  Backpropagation stops at the lowest layer that
+    needs a gradient, and the gradient w.r.t. that layer's input is not
+    computed.
     """
     batch = _check_batch(spec, batch)
     labels = _check_labels(labels, spec.class_count)
@@ -602,12 +625,13 @@ def loss_and_grads(
         raise ShapeError("batch and labels disagree on length")
     n = batch.shape[0]
 
-    x = np.ascontiguousarray(batch.transpose(0, 2, 3, 1))
-    caches = []
-    for layer, lp in zip(spec.layers, params.layers):
+    h, w = spec.input_extent
+    x = np.ascontiguousarray(batch[:, :, :h, :w].transpose(0, 2, 3, 1))
+    order = _run_order(spec.layers)
+    caches: list = [None] * len(spec.layers)  # indexed by spec layer, like grads
+    for i in order:
         logits = x
-        x, cache = layer.forward(x, lp)
-        caches.append(cache)
+        x, caches[i] = spec.layers[i].forward(x, params.layers[i])
     probs = x
     shifted = logits - logits.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
@@ -620,8 +644,11 @@ def loss_and_grads(
     first_parametric = next(i for i, lp in enumerate(params.layers) if lp is not None)
     stop = max(freeze_below or 0, first_parametric)
     grads: list[LayerParams | None] = [None] * len(spec.layers)
-    for i in range(len(spec.layers) - 1, stop - 1, -1):
-        grad, grads[i] = spec.layers[i].backward(grad, caches[i], params.layers[i], i > stop)
+    # only stateless layers leave their position, so walking down to position
+    # stop reaches every parametric layer from stop up
+    for p in range(len(order) - 1, stop - 1, -1):
+        i = order[p]
+        grad, grads[i] = spec.layers[i].backward(grad, caches[i], params.layers[i], p > stop)
     for i, lp in enumerate(params.layers[:stop]):
         if lp is not None:  # frozen
             grads[i] = LayerParams(np.zeros_like(lp.weight), np.zeros_like(lp.bias))

@@ -91,6 +91,65 @@ def params_equal(a: NetParams, b: NetParams) -> bool:
     return True
 
 
+def grad_bytes(grads: NetParams) -> list:
+    return [None if g is None else (g.weight.tobytes(), g.bias.tobytes()) for g in grads.layers]
+
+
+def nhwc(a):
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
+def nchw(a):
+    return a.transpose(0, 3, 1, 2)
+
+
+def relu_pool_spec(k, stride, size=8):
+    """An identity 1x1 conv that hands the input to relu -> max-pool unchanged."""
+    spec = NetSpec(
+        layers=(Conv(2, 1, 1), Relu(), MaxPool(k, stride), Flatten(), Fc(3), Fc(2), Softmax()),
+        input_shape=(2, size, size),
+    )
+    layers = list(convnet.init_params(spec, Rng(0)).layers)
+    layers[0] = LayerParams(np.eye(2).reshape(2, 2, 1, 1), np.zeros(2))
+    return spec, NetParams(tuple(layers))
+
+
+def tied_batch(rows, size=8):
+    """Small integers with many ties, at zero too; the first 3 images add
+    all-negative windows, a channel of tied negative maxima and windows tied
+    at a positive and at a zero max."""
+    big = Rng(1).integers(-3, 3, (rows, 2, size, size)).astype(float)
+    x = big[:3]
+    x[0, :, :5, :5] = -1.0 - Rng(2).integers(0, 4, (2, 5, 5))
+    x[1, 1] = -2.0
+    x[2, 0, :, ::2] = 2.0
+    x[2, 1] = -1.0
+    x[2, 1, ::2, ::2] = 0.0
+    return big
+
+
+def reference_loss_and_grads(spec, params, batch, labels):
+    """loss_and_grads' loss and gradients from Layer.forward and
+    Layer.backward run in spec order on the uncropped batch."""
+    x = nhwc(batch)
+    caches = []
+    for layer, lp in zip(spec.layers, params.layers):
+        logits = x
+        x, cache = layer.forward(x, lp)
+        caches.append(cache)
+    n = batch.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
+    loss = float(np.mean(logsumexp - logits[np.arange(n), labels]))
+    grad = x.copy()
+    grad[np.arange(n), labels] -= 1.0
+    grad /= n
+    grads = [None] * len(spec.layers)
+    for i in reversed(range(len(spec.layers))):
+        grad, grads[i] = spec.layers[i].backward(grad, caches[i], params.layers[i], i > 0)
+    return loss, NetParams(tuple(grads))
+
+
 class TestSpecValidation:
     def test_default_spec_shapes(self):
         spec = convnet.default_spec((3, 16, 16), 12)
@@ -287,19 +346,64 @@ class TestLossAndGrads:
         convnet.loss_and_grads(spec, params, Rng(8).normal((3, 2, 8, 8)), np.array([0, 1, 2]), freeze_below)
         assert len(calls) == col2im_calls
 
+    def test_cropped_pixels_are_never_read(self, monkeypatch):
+        spec = convnet.default_spec((3, 16, 16), 12)
+        params = convnet.init_params(spec, Rng(5))
+        x = Rng(15).normal((7,) + spec.input_shape)
+        y = np.arange(7) % spec.class_count
+        dirty = x.copy()
+        dirty[:, :, 14:] = np.nan
+        dirty[:, :, :, 14:] = np.nan
+        conv_inputs = []
+        conv_forward = Conv.forward
+
+        def recording(self, z, lp):
+            conv_inputs.append(z.shape)
+            return conv_forward(self, z, lp)
+
+        monkeypatch.setattr(Conv, "forward", recording)
+        loss, grads = convnet.loss_and_grads(spec, params, x, y)
+        assert conv_inputs == [(7, 14, 14, 3), (7, 6, 6, 8)]
+        dirty_loss, dirty_grads = convnet.loss_and_grads(spec, params, dirty, y)
+        assert np.float64(dirty_loss).tobytes() == np.float64(loss).tobytes()
+        assert grad_bytes(dirty_grads) == grad_bytes(grads)
+
+    @pytest.mark.parametrize("pool", [None, (2, 2, 8), (3, 2, 9)], ids=["tiny", "disjoint-2-2", "overlapping-3-2"])
+    def test_inference_order_matches_the_spec_order_reference(self, monkeypatch, pool):
+        # the crop drops nothing here, so relu after the pool and the
+        # disjoint-window backward are all that differ from the reference
+        if pool is None:
+            spec = tiny_spec()
+            params = convnet.init_params(spec, Rng(7))
+            x = Rng(8).normal((6,) + spec.input_shape)
+        else:
+            k, stride, size = pool
+            spec, params = relu_pool_spec(k, stride, size)
+            x = tied_batch(32, size)
+            pooled = MaxPool(k, stride).forward(nhwc(x[:3]), None)[0]
+            assert (pooled < 0).any() and (pooled == 0).any()
+        assert spec.input_extent == spec.input_shape[1:]
+        y = np.arange(x.shape[0]) % spec.class_count
+        ref_loss, ref_grads = reference_loss_and_grads(spec, params, x, y)
+        relu_inputs = []
+        relu_forward = Relu.forward
+
+        def recording(self, z, lp):
+            relu_inputs.append(z.shape)
+            return relu_forward(self, z, lp)
+
+        monkeypatch.setattr(Relu, "forward", recording)
+        loss, grads = convnet.loss_and_grads(spec, params, x, y)
+        c, h, w = spec.layer_shapes[2]  # relu at 1 runs on the output of the pool at 2
+        assert relu_inputs[0] == (x.shape[0], h, w, c)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grad_bytes(grads) == grad_bytes(ref_grads)
+
     def test_out_of_range_label(self):
         spec = tiny_spec(class_count=3)
         params = convnet.init_params(spec, Rng(1))
         with pytest.raises(ContractError):
             convnet.loss_and_grads(spec, params, np.zeros((1, 2, 8, 8)), np.array([3]))
-
-
-def nhwc(a):
-    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
-
-
-def nchw(a):
-    return a.transpose(0, 3, 1, 2)
 
 
 def conv_oracle(x, w, b, stride, dy):
@@ -362,7 +466,9 @@ class TestKernels:
         np.testing.assert_allclose(grads.bias, ref_db, rtol=1e-12, atol=1e-12)
         assert layer.backward(nhwc(dy), cache, lp, False)[0] is None
 
-    @pytest.mark.parametrize("k,stride,size", [(3, 2, 8), (2, 2, 7)], ids=["overlapping-3-2", "cropped-2-2"])
+    @pytest.mark.parametrize(
+        "k,stride,size", [(3, 2, 8), (2, 2, 7), (2, 2, 8)], ids=["overlapping-3-2", "cropped-2-2", "tiled-2-2"]
+    )
     def test_maxpool_ties_go_to_the_first_max(self, k, stride, size):
         layer = MaxPool(k, stride)
         # an all-equal first window, and a pair equal to the max that only the
@@ -380,7 +486,7 @@ class TestKernels:
         expected[0, 0, 0, last] = 3.0
         assert np.array_equal(dx, expected)
 
-    @pytest.mark.parametrize("k,stride,size", [(3, 2, 10), (2, 2, 9), (2, 1, 6)])
+    @pytest.mark.parametrize("k,stride,size", [(3, 2, 10), (2, 2, 9), (2, 1, 6), (2, 2, 8)])
     def test_maxpool_matches_argmax_oracle_with_many_ties(self, k, stride, size):
         rng = np.random.default_rng(size)
         x = rng.integers(0, 3, size=(2, 3, size, size + 1)).astype(float)
@@ -393,8 +499,8 @@ class TestKernels:
 
 
 def training_activations(spec, params, batch):
-    """[input] + every layer's output of the Layer.forward chain that
-    loss_and_grads runs, the index space of NetSpec.tap_index."""
+    """[input] + every layer's output of the Layer.forward chain in spec
+    order on the uncropped batch, the index space of NetSpec.tap_index."""
     x = nhwc(batch)
     outs = [x]
     for layer, lp in zip(spec.layers, params.layers):
@@ -502,23 +608,11 @@ class TestInference:
 
     @pytest.mark.parametrize("k,stride", [(2, 2), (3, 2)], ids=["disjoint-2-2", "overlapping-3-2"])
     def test_relu_after_the_pool_is_bit_identical(self, monkeypatch, k, stride):
-        # an identity 1x1 conv hands the input to relu -> max-pool unchanged
-        spec = NetSpec(
-            layers=(Conv(2, 1, 1), Relu(), MaxPool(k, stride), Flatten(), Fc(3), Fc(2), Softmax()),
-            input_shape=(2, 8, 8),
-        )
-        layers = list(convnet.init_params(spec, Rng(0)).layers)
-        layers[0] = LayerParams(np.eye(2).reshape(2, 2, 1, 1), np.zeros(2))
-        params = NetParams(tuple(layers))
+        spec, params = relu_pool_spec(k, stride)
         # 601 rows put the Fc(2) head's product over the floor; the designed
         # rows are the first 3
-        big = Rng(1).integers(-3, 3, (601, 2, 8, 8)).astype(float)  # many ties, at zero too
+        big = tied_batch(601)
         x = big[:3]
-        x[0, :, :5, :5] = -1.0 - Rng(2).integers(0, 4, (2, 5, 5))  # all-negative windows
-        x[1, 1] = -2.0  # a channel of tied negative maxima
-        x[2, 0, :, ::2] = 2.0  # windows tied at a positive max
-        x[2, 1] = -1.0
-        x[2, 1, ::2, ::2] = 0.0  # windows tied at a zero max
         pooled = MaxPool(k, stride).forward(nhwc(x), None)[0]
         assert (pooled < 0).any() and (pooled == 0).any()
         relu_inputs = []
