@@ -18,6 +18,8 @@ from .numkit import Rng
 KMEANS_MAX_ITER = 100
 # k-means++ restarts of one clustering; the best inertia wins.
 KMEANS_RESTARTS = 10
+# The system's LDA keeps min(C - 1, LDA_MAX_DIM) directions for C classes.
+LDA_MAX_DIM = 32
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import configparser
 import inspect
+import math
+import re
 import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -79,35 +81,34 @@ _KEYS = {
     ("run", "k"): (SystemConfig, "k", int),
     ("run", "selector"): (SystemConfig, "selector", str),
     ("train", "learning_rate"): (TrainConfig, "learning_rate", float),
-    ("train", "momentum"): (TrainConfig, "momentum", float),
-    ("train", "weight_decay"): (TrainConfig, "weight_decay", float),
     ("train", "batch_size"): (TrainConfig, "batch_size", int),
     ("train", "epochs"): (TrainConfig, "epochs", int),
-    ("train", "lr_step_factor"): (TrainConfig, "lr_step_factor", float),
-    ("train", "lr_step_every"): (TrainConfig, "lr_step_every", int),
     ("subset", "epochs"): (SystemConfig, "subset_epochs", int),
     ("subset", "learning_rate"): (SystemConfig, "subset_lr", float),
     ("selector", "epochs"): (SystemConfig, "selector_epochs", int),
-    ("svm", "lambda"): (SystemConfig, "svm_lambda", float),
     ("svm", "epochs"): (SystemConfig, "svm_epochs", int),
-    ("cluster", "lda_out_dim"): (SystemConfig, "lda_out_dim", int),
     ("cluster", "restarts"): (SystemConfig, "kmeans_restarts", int),
 }
 
 
 def _parse_value(section: str, key: str, raw: str, cast):
+    """raw as cast; a float must be finite, since no knob has a use for nan or inf."""
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid {cast.__name__}") from exc
+    if cast is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
+    return value
 
 
 def parse_config(path, seed_override: int | None = None) -> RunConfig:
     """Parse and validate a run configuration file.
 
     Every problem raises ConfigError: unknown sections or keys, unparsable
-    values, missing datasets, values SystemConfig or the stage graph rejects,
-    no seeds, or referenced files that do not exist.  Dataset counts are
+    or non-finite values, dataset ids with a comma, colon or whitespace,
+    missing datasets, values SystemConfig or the stage graph rejects, no
+    seeds, or referenced files that do not exist.  Dataset counts are
     checked when build_datasets generates them.
     """
     path = Path(path)
@@ -157,6 +158,9 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
     for section in parser.sections():
         if not section.startswith("dataset."):
             continue
+        ds_id = section[len("dataset.") :]
+        if not re.fullmatch(r"[^,:\s]+", ds_id):  # a stage token or a metrics.csv row could not hold it
+            raise ConfigError(f"[{section}] dataset id must be nonempty, without commas, colons or whitespace")
         body = parser[section]
         if "file" in body:
             file_path = Path(body["file"])
@@ -165,7 +169,7 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
             conf = {"file": str(file_path)}
         else:
             conf = {key: _parse_value(section, key, value, _GENERATOR_KEYS[key]) for key, value in body.items()}
-        datasets[section[len("dataset.") :]] = conf
+        datasets[ds_id] = conf
     if not datasets:
         raise ConfigError("config defines no [dataset.*] sections")
     if target not in datasets:

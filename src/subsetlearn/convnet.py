@@ -31,6 +31,13 @@ from .numkit import Rng
 
 # Fine-tuned stages and nets train at this multiple of the scratch learning rate.
 FINETUNE_LR_FACTOR = 0.1
+# SGD keeps MOMENTUM of its velocity and adds WEIGHT_DECAY times the weights to
+# each gradient; the learning rate is multiplied by LR_STEP_FACTOR every
+# LR_STEP_EVERY epochs.
+MOMENTUM = 0.9
+WEIGHT_DECAY = 5e-4
+LR_STEP_FACTOR = 0.1
+LR_STEP_EVERY = 20
 
 # Images per inference forward: at 64 a 16 x 16 input's first-conv im2col rows
 # take about 1.8 MiB (7.1 MiB at 256), and a forward is no slower per image.
@@ -88,11 +95,6 @@ def _col2im(dcols: np.ndarray, x_shape: tuple[int, ...], k: int, stride: int) ->
     return dx
 
 
-def _kernel_matrix(weight: np.ndarray) -> np.ndarray:
-    """Conv weights (O, C, k, k) as the (O, k*k*C) matrix that multiplies im2col rows."""
-    return weight.transpose(0, 2, 3, 1).reshape(weight.shape[0], -1)
-
-
 class Layer:
     """One layer type.  Its JSON form is its tag followed by its dataclass
     fields, all integers.  Shapes exclude the batch axis and are given as
@@ -139,34 +141,18 @@ class Conv(Layer):
     def param_shapes(self, in_shape):
         return (self.out_channels, in_shape[0], self.kernel, self.kernel), (self.out_channels,)
 
-    def forward(self, x, lp):
+    def _operands(self, x, lp, paired):
+        """The im2col rows of x, the weight matrix they multiply and the
+        (B, Ho, Wo, O) shape of the product.  Unpaired, a row is one window
+        and the matrix is (O, kkC + 1).  Paired, a row holds p = 2 outputs for
+        an even output width (1 for an odd one): the k x (k + (p-1)s) union
+        of p neighbouring windows, and the matrix is (pO, k(k + (p-1)s)C + 1)
+        with output j's kernel at column offset j*s, zeros elsewhere.  Each
+        row ends in a constant one and the matrix in the bias column."""
         b, h, w, c = x.shape
         o, k, s = self.out_channels, self.kernel, self.stride
         ho, wo = (h - k) // s + 1, (w - k) // s + 1
-        # The bias is the weight of a last, constant-one im2col column, so one
-        # matmul gives y, and in backward one gives dw and the bias gradient
-        # (ones @ dy) together.
-        cols = np.empty((b * ho * wo, k * k * c + 1))
-        _im2col(x, cols[:, :-1].reshape(b, ho, wo, k, k, c), s, s)
-        cols[:, -1] = 1.0
-        weights = np.hstack([_kernel_matrix(lp.weight), lp.bias[:, None]])
-        y = (cols @ weights.T).reshape(b, ho, wo, o)
-        return y, (cols, x.shape)
-
-    def infer(self, x, lp):
-        """forward's output, p = 2 outputs per im2col row for an even output
-        width and p = 1 for an odd one.  A row holds the k x (k + (p-1)s)
-        union of p neighbouring windows, and the kernel sits in a
-        (pO, k(k + (p-1)s)C + 1) matrix at column offset j*s for output j,
-        zeros elsewhere, the bias last.  Each output sums the same nonzero
-        terms in the same order as forward, and the product is
-        ``numkit.invariant_matmul``, so its rows do not depend on the batch.
-        Two outputs per input tile as in Lavin & Gray's F(2, 3) (CVPR 2016),
-        but without their transforms, which would move rounding."""
-        b, h, w, c = x.shape
-        o, k, s = self.out_channels, self.kernel, self.stride
-        ho, wo = (h - k) // s + 1, (w - k) // s + 1
-        p = 2 - wo % 2
+        p = 2 - wo % 2 if paired else 1
         span = k + (p - 1) * s
         rows = np.empty((b * ho * (wo // p), k * span * c + 1))
         _im2col(x, rows[:, :-1].reshape(b, ho, wo // p, k, span, c), s, p * s)
@@ -177,7 +163,22 @@ class Conv(Layer):
             kernels[j, :, :, j * s : j * s + k] = lp.weight.transpose(0, 2, 3, 1)
         weights[:, :, -1] = lp.bias
         # row (b, r, q) holds outputs (r, pq) to (r, pq + p - 1), all O channels each
-        return numkit.invariant_matmul(rows, weights.reshape(p * o, -1).T).reshape(b, ho, wo, o)
+        return rows, weights.reshape(p * o, -1), (b, ho, wo, o)
+
+    def forward(self, x, lp):
+        # With the bias as the weight of the constant-one column, one matmul
+        # gives y, and in backward one gives dw and the bias gradient together.
+        cols, weights, shape = self._operands(x, lp, paired=False)
+        return (cols @ weights.T).reshape(shape), (cols, x.shape)
+
+    def infer(self, x, lp):
+        """forward's output from paired rows.  Each output sums the same
+        nonzero terms in the same order as forward, and the product is
+        ``numkit.invariant_matmul``, so its rows do not depend on the batch.
+        Two outputs per input tile as in Lavin & Gray's F(2, 3) (CVPR 2016),
+        but without their transforms, which would move rounding."""
+        rows, weights, shape = self._operands(x, lp, paired=True)
+        return numkit.invariant_matmul(rows, weights.T).reshape(shape)
 
     def backward(self, dy, cache, lp, need_dx):
         cols, x_shape = cache
@@ -188,7 +189,7 @@ class Conv(Layer):
         grads = LayerParams(np.ascontiguousarray(dw), dwb[:, -1].copy())
         if not need_dx:
             return None, grads
-        dcols = dym @ _kernel_matrix(lp.weight)
+        dcols = dym @ lp.weight.transpose(0, 2, 3, 1).reshape(o, -1)  # the (O, kkC) kernel matrix
         return _col2im(dcols.reshape(dy.shape[:3] + (k, k, c)), x_shape, k, self.stride), grads
 
 
@@ -482,25 +483,15 @@ class Network:
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
     batch_size: int = 32
     epochs: int = 30
-    lr_step_factor: float = 0.1  # the rate's multiplier every lr_step_every epochs; 1 keeps it constant
-    lr_step_every: int = 20
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ContractError("learning_rate must be >= 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ContractError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ContractError("weight_decay must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ContractError("learning_rate must be >= 0 and finite")
         if self.batch_size < 1 or self.epochs < 1:
             raise ContractError("batch_size and epochs must be >= 1")
-        if self.lr_step_every < 1 or self.lr_step_factor <= 0:
-            raise ContractError("lr_step_every must be >= 1 and lr_step_factor > 0")
 
     def for_run(self, seed: int, finetune: bool = False, epochs=None, learning_rate=None) -> TrainConfig:
         """This config with one run's seed and overrides.  An override left at
@@ -512,7 +503,7 @@ class TrainConfig:
         return dataclasses.replace(self, seed=seed, epochs=epochs, learning_rate=learning_rate)
 
     def lr_at(self, epoch: int) -> float:
-        return self.learning_rate * self.lr_step_factor ** (epoch // self.lr_step_every)
+        return self.learning_rate * LR_STEP_FACTOR ** (epoch // LR_STEP_EVERY)
 
 
 def check_params(spec: NetSpec, params: NetParams) -> None:
@@ -698,8 +689,8 @@ def train(
             for i in trainable:
                 lp, vp, gp = current.layers[i], velocity.layers[i], grads.layers[i]
                 for p, v, g in ((lp.weight, vp.weight, gp.weight), (lp.bias, vp.bias, gp.bias)):
-                    v *= cfg.momentum
-                    v += g + cfg.weight_decay * p
+                    v *= MOMENTUM
+                    v += g + WEIGHT_DECAY * p
                     p -= lr * v
         history.append(loss_sum / n)
     return current, history

@@ -8,6 +8,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -116,8 +117,10 @@ def generate_synthetic(
         raise ContractError("intra_group_similarity must lie in [0, 1]")
     if channels < 1 or image_size < _GLYPH + 2 * max(jitter, 0) + 1:
         raise ContractError("image_size too small for the glyph and jitter")
-    if jitter < 0 or noise < 0:
-        raise ContractError("noise and jitter must be nonnegative")
+    if jitter < 0 or not 0 <= noise < math.inf:
+        raise ContractError("jitter must be >= 0, and noise >= 0 and finite")
+    if not math.isfinite(glyph_contrast):
+        raise ContractError("glyph_contrast must be finite")
     style_seed = seed if style_seed is None else style_seed
     arguments = locals()
     generator = {name: arguments[name] for name in inspect.signature(generate_synthetic).parameters}
@@ -195,8 +198,8 @@ class StageGraph:
         for stage in self.stages:
             for knob, low in (("epochs", 1), ("learning_rate", 0), ("freeze_below", 0)):
                 value = getattr(stage, knob)
-                if value is not None and value < low:
-                    raise ContractError(f"stage {stage.dataset}:{stage.mode} {knob} must be >= {low}")
+                if value is not None and not low <= value < math.inf:
+                    raise ContractError(f"stage {stage.dataset}:{stage.mode} {knob} must be >= {low} and finite")
 
     @property
     def name(self) -> str:
@@ -420,9 +423,7 @@ class SystemConfig:
     subset_epochs: int | None = None
     subset_lr: float | None = None  # None follows the x0.1 fine-tune policy
     selector_epochs: int | None = None
-    svm_lambda: float = fusion.SVM_LAMBDA
     svm_epochs: int = fusion.SVM_EPOCHS
-    lda_out_dim: int | None = None  # None: min(C - 1, 32) for C target classes
     kmeans_restarts: int = _cluster.KMEANS_RESTARTS
 
     def __post_init__(self):
@@ -430,9 +431,9 @@ class SystemConfig:
             raise ContractError("k must be >= 1")
         if self.selector not in ("network", "centroid"):
             raise ContractError(f"unknown selector {self.selector!r}")
-        if self.svm_lambda <= 0:
-            raise ContractError("svm_lambda must be > 0")
-        for name in ("svm_epochs", "kmeans_restarts", "subset_epochs", "selector_epochs", "lda_out_dim"):
+        if self.subset_lr is not None and not 0 <= self.subset_lr < math.inf:
+            raise ContractError("subset_lr must be >= 0 and finite")
+        for name in ("svm_epochs", "kmeans_restarts", "subset_epochs", "selector_epochs"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ContractError(f"{name} must be >= 1")
@@ -489,7 +490,7 @@ def build_system(
     images, labels = target.images[rows], target.labels[rows]
     feats = base.forward(images, Tap.FC_PENULTIMATE)
 
-    lda = _cluster.lda_fit(feats, labels, out_dim=config.lda_out_dim or min(target.n_classes - 1, 32))
+    lda = _cluster.lda_fit(feats, labels, out_dim=min(target.n_classes - 1, _cluster.LDA_MAX_DIM))
     cmap, kmeans, _ = precluster(
         feats, labels, Tap.FC_PENULTIMATE, lda, config.k, config.train.seed, config.kmeans_restarts
     )
@@ -513,7 +514,7 @@ def build_system(
     ensemble = SubsetEnsemble(nets=nets, selector=selector)
 
     fused = fuse_dataset_features(base, ensemble, images)
-    svm = fusion.svm_train(fused, labels, lam=config.svm_lambda, epochs=config.svm_epochs)
+    svm = fusion.svm_train(fused, labels, epochs=config.svm_epochs)
     bundle = ModelBundle(
         base=base,
         lda=lda,

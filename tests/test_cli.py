@@ -3,6 +3,7 @@ import dataclasses
 import json
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,12 +86,8 @@ n_groups = 2
 
 [train]
 learning_rate = 0.01
-momentum = 0.5
-weight_decay = 0.002
 batch_size = 9
 epochs = 4
-lr_step_factor = 0.5
-lr_step_every = 11
 
 [subset]
 epochs = 5
@@ -100,11 +97,9 @@ learning_rate = 0.003
 epochs = 6
 
 [svm]
-lambda = 0.04
 epochs = 7
 
 [cluster]
-lda_out_dim = 2
 restarts = 8
 """
 
@@ -217,12 +212,33 @@ class TestTrain:
 
     def test_invalid_value_exit_2_before_training(self, run_cli, tmp_path):
         bad = tmp_path / "bad.ini"
-        bad.write_text(with_entry("svm", "lambda = 0"))
+        bad.write_text(CONFIG.replace("[svm]\nepochs = 20", "[svm]\nepochs = 0"))
         out = tmp_path / "out"
         result = run_cli("--out-dir", str(out), "train", "--config", str(bad), cwd=tmp_path)
         assert result.returncode == 2, result.stderr
-        assert "svm_lambda" in result.stderr
+        assert "svm_epochs" in result.stderr
         assert not (out / "bundle-seed3.sfl").exists()
+
+    def test_non_finite_learning_rate_exit_2_before_training(self, run_cli, tmp_path):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(CONFIG.replace("learning_rate = 0.02", "learning_rate = nan"))
+        out = tmp_path / "out"
+        result = run_cli("--out-dir", str(out), "train", "--config", str(bad), cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "learning_rate" in result.stderr
+        assert not (out / "bundle-seed3.sfl").exists()
+
+    @pytest.mark.parametrize("ds_id", ["a,b", "a:b", "a b"])
+    def test_dataset_id_a_stage_cannot_name_exit_2(self, run_cli, tmp_path, ds_id):
+        # "a,b" would put a comma into the system name that metrics.csv holds unquoted
+        bad = tmp_path / "bad.ini"
+        config = CONFIG.replace("target = target", f"target = {ds_id}")
+        bad.write_text(config.replace("[dataset.target]", f"[dataset.{ds_id}]"))
+        out = tmp_path / "out"
+        result = run_cli("--out-dir", str(out), "train", "--config", str(bad), cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "dataset id" in result.stderr
+        assert not (out / "metrics.csv").exists()
 
 
 REPORT_CONFIGS = {
@@ -465,8 +481,7 @@ def reference_report(config_path) -> bytes:
     images, labels = target.images[rows], target.labels[rows]
     conv_feats = net.forward(images, Tap.CONV_LAST)
     fc_feats = net.forward(images, Tap.FC_PENULTIMATE)
-    out_dim = system.lda_out_dim or min(target.n_classes - 1, 32)
-    lda = cluster.lda_fit(fc_feats, labels, out_dim=out_dim)
+    lda = cluster.lda_fit(fc_feats, labels, out_dim=min(target.n_classes - 1, cluster.LDA_MAX_DIM))
     lines = ["tap,silhouette,min_size,max_size"]
     for tap, feats, model in (
         ("conv_last", conv_feats, None),
@@ -567,6 +582,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "absent.ini")
 
+    def test_shipped_configs_parse(self):
+        # a key the parser no longer knows would fail every run of the shipped file
+        paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+        assert paths
+        for path in paths:
+            assert parse_config(path).seeds, path
+
     def test_unknown_keys_rejected(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text(CONFIG + "\n[dataset.extra]\nwhatever = 3\n")
@@ -586,6 +608,12 @@ class TestConfigParsing:
             ("train", "lr_schedule"),
             ("run", "seed"),
             ("dataset.target", "jiter"),
+            ("train", "momentum"),
+            ("train", "weight_decay"),
+            ("train", "lr_step_factor"),
+            ("train", "lr_step_every"),
+            ("svm", "lambda"),
+            ("cluster", "lda_out_dim"),
         ],
     )
     def test_unknown_section_key_rejected(self, tmp_path, section, key):
@@ -651,13 +679,16 @@ class TestConfigParsing:
         [
             ("graph", "stages", "target:rt:abc", "target:rt:2"),
             ("graph", "stages", "target:rt:0", "target:rt:2"),
-            ("svm", "lambda", "0", "1e-4"),
             ("subset", "epochs", "0", "1"),
             ("selector", "epochs", "-1", "1"),
             ("cluster", "restarts", "0", "1"),
-            ("cluster", "lda_out_dim", "0", "1"),
             ("dataset.target", "jitter", "1.5", "2"),
             ("dataset.target", "style_seed", "0.5", "7"),
+            ("subset", "learning_rate", "nan", "0.01"),
+            ("subset", "learning_rate", "inf", "0.01"),
+            ("dataset.target", "noise", "nan", "0.1"),
+            ("dataset.target", "glyph_contrast", "nan", "0.2"),
+            ("dataset.target", "glyph_contrast", "-inf", "-0.2"),
         ],
     )
     def test_invalid_values_rejected(self, tmp_path, section, key, bad, good):
@@ -685,16 +716,11 @@ class TestConfigParsing:
         expected = SystemConfig(
             k=3,
             selector="centroid",
-            train=TrainConfig(
-                learning_rate=0.01, momentum=0.5, weight_decay=0.002, batch_size=9, epochs=4,
-                lr_step_factor=0.5, lr_step_every=11,
-            ),
+            train=TrainConfig(learning_rate=0.01, batch_size=9, epochs=4),
             subset_epochs=5,
             subset_lr=0.003,
             selector_epochs=6,
-            svm_lambda=0.04,
             svm_epochs=7,
-            lda_out_dim=2,
             kmeans_restarts=8,
         )
         assert parse_config(path).system == expected

@@ -663,20 +663,27 @@ class TestTrain:
         assert params_equal(out, params)
 
     def test_single_step_matches_hand_update(self):
-        # zero conv trunk: logits equal the head bias, so one full-batch step
-        # moves the head bias by -lr * (softmax(0) - onehot)
+        # zero weights: logits equal the head bias and every other gradient
+        # is zero, so each full-batch step moves the head bias alone, by
+        # -lr * v with v = MOMENTUM * v + (softmax(bias) - onehot) + WEIGHT_DECAY * bias;
+        # the second step carries the first one's velocity and decays its bias
         spec = tiny_spec(class_count=3)
         params = convnet.init_params(spec, Rng(1)).map(np.zeros_like)
         images = Rng(2).normal((1, 2, 8, 8))
         labels = np.array([1])
         lr = 0.25
-        cfg = TrainConfig(
-            learning_rate=lr, momentum=0.0, weight_decay=0.0, epochs=1, batch_size=1, seed=0
-        )
+        cfg = TrainConfig(learning_rate=lr, epochs=2, batch_size=1, seed=0)
         out, _ = convnet.train(spec, params, images, labels, cfg)
-        expected = -lr * (np.full(3, 1.0 / 3) - np.array([0.0, 1.0, 0.0]))
+        bias, velocity = np.zeros(3), np.zeros(3)
+        for _ in range(2):
+            probs = np.exp(bias - bias.max()) / np.exp(bias - bias.max()).sum()
+            velocity = convnet.MOMENTUM * velocity + (probs - [0.0, 1.0, 0.0]) + convnet.WEIGHT_DECAY * bias
+            bias = bias - lr * velocity
         head = out.layers[spec.head_index()]
-        assert np.abs(head.bias - expected).max() < 1e-12
+        assert np.abs(head.bias - bias).max() < 1e-12
+        for i, lp in enumerate(out.layers):
+            if lp is not None:
+                assert not lp.weight.any() and (i == spec.head_index() or not lp.bias.any())
 
     def test_loss_improves_on_separable_toy(self):
         rng = Rng(0)
@@ -771,7 +778,10 @@ class TestReinitHead:
 
 class TestTrainConfig:
     def test_validation(self):
-        for bad in ({"momentum": 1.0}, {"lr_step_factor": 0.0}, {"lr_step_every": 0}, {"epochs": 0}):
+        for bad in (
+            {"learning_rate": -1.0}, {"batch_size": 0}, {"epochs": 0},
+            {"learning_rate": math.nan}, {"learning_rate": math.inf},
+        ):
             with pytest.raises(ContractError):
                 TrainConfig(**bad)
         with pytest.raises(ContractError):
@@ -779,10 +789,10 @@ class TestTrainConfig:
         TrainConfig()
 
     def test_step_schedule(self):
-        cfg = TrainConfig(learning_rate=1.0, lr_step_factor=0.1, lr_step_every=2)
-        assert [cfg.lr_at(e) for e in range(5)] == [1.0, 1.0, 0.1, 0.1, 0.010000000000000002]
-        constant = TrainConfig(learning_rate=0.05, lr_step_factor=1, lr_step_every=1)
-        assert [constant.lr_at(e) for e in range(100)] == [0.05] * 100
+        # a tenth of the rate every 20 epochs
+        cfg = TrainConfig(learning_rate=1.0)
+        rates = [cfg.lr_at(e) for e in range(61)]
+        assert rates == [1.0] * 20 + [0.1] * 20 + [0.010000000000000002] * 20 + [0.0010000000000000002]
 
     def test_finetune_config_policy(self):
         cfg = TrainConfig(learning_rate=0.05, epochs=30)

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import math
 import struct
 import tracemalloc
 import zlib
@@ -164,6 +165,12 @@ class TestGenerateSynthetic:
             generate_synthetic(n_groups=0, classes_per_group=2, train_per_class=1, test_per_class=1)
         with pytest.raises(ContractError):
             generate_synthetic(image_size=8, jitter=3)
+
+    @pytest.mark.parametrize("knob", [dict(noise=math.nan), dict(noise=math.inf), dict(glyph_contrast=math.nan)])
+    def test_non_finite_noise_or_contrast_rejected(self, knob):
+        # either would give non-finite images
+        with pytest.raises(ContractError, match=next(iter(knob))):
+            generate_synthetic(**TINY, **knob)
 
 
 def sweep_datasets():
@@ -330,7 +337,9 @@ class TestStageGraph:
         with pytest.raises(ContractError):
             StageGraph(())
 
-    @pytest.mark.parametrize("knob", [dict(learning_rate=-1.0), dict(freeze_below=-5)])
+    @pytest.mark.parametrize(
+        "knob", [dict(learning_rate=-1.0), dict(freeze_below=-5), dict(learning_rate=math.nan), dict(learning_rate=math.inf)]
+    )
     def test_bad_stage_knob_fails_when_the_graph_is_built(self, monkeypatch, knob):
         # before any stage trains, not on reaching the bad one
         calls = []
@@ -501,6 +510,11 @@ class TestBuildSystem:
         bundle = build_system(ds, config=cfg)
         bundle.validate()
         assert bundle.ensemble.k == 1
+
+    @pytest.mark.parametrize("subset_lr", [-0.1, math.nan, math.inf])
+    def test_bad_subset_lr_rejected_when_the_config_is_built(self, subset_lr):
+        with pytest.raises(ContractError, match="subset_lr"):
+            SystemConfig(subset_lr=subset_lr)
 
     def test_k_above_class_count_rejected(self):
         ds = generate_synthetic(**TINY)

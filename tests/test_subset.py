@@ -158,7 +158,7 @@ class TestSubsetSpecialization:
             params, _ = convnet.train(spec, params, images, labels, cfg)
             base = Network(spec, params)
             feats = base.forward(images, Tap.FC_PENULTIMATE)
-            lda = cluster.lda_fit(feats, labels, out_dim=min(ds.n_classes - 1, 32))
+            lda = cluster.lda_fit(feats, labels, out_dim=min(ds.n_classes - 1, cluster.LDA_MAX_DIM))
             cmap, _, _ = cluster.precluster_classes(
                 feats, labels, Tap.FC_PENULTIMATE, lda, 2, Rng(derive_seed(seed, 101))
             )
