@@ -74,10 +74,9 @@ def _shifted(x: np.ndarray, i: int, j: int, stride: int, ho: int, wo: int) -> np
 
 def _im2col(x: np.ndarray, cols: np.ndarray, stride: int, col_stride: int) -> None:
     """Copy the kh x kw windows of x (B, H, W, C) into cols (B, Ho, Wo, kh, kw, C):
-    window (r, q) has its top-left corner at (r * stride, q * col_stride)."""
-    kh, kw = cols.shape[3:5]
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::col_stride]
-    np.copyto(cols, win.transpose(0, 1, 2, 4, 5, 3))
+    window (r, q) has its top-left corner at (r * stride, q * col_stride); x may be any strided view."""
+    sb, sh, sw, sc = x.strides
+    np.copyto(cols, np.lib.stride_tricks.as_strided(x, cols.shape, (sb, stride * sh, col_stride * sw, sh, sw, sc)))
 
 
 def _col2im(dcols: np.ndarray, x_shape: tuple[int, ...], k: int, stride: int) -> np.ndarray:
@@ -157,6 +156,8 @@ class Conv(Layer):
         rows = np.empty((b * ho * (wo // p), k * span * c + 1))
         _im2col(x, rows[:, :-1].reshape(b, ho, wo // p, k, span, c), s, p * s)
         rows[:, -1] = 1.0
+        if p == 1:  # the kernel matrix and the bias column: no zeros to fill
+            return rows, np.column_stack((lp.weight.transpose(0, 2, 3, 1).reshape(o, -1), lp.bias)), (b, ho, wo, o)
         weights = np.zeros((p, o, rows.shape[1]))
         kernels = weights[:, :, :-1].reshape(p, o, k, span, c)
         for j in range(p):
@@ -185,8 +186,7 @@ class Conv(Layer):
         o, c, k, _ = lp.weight.shape
         dym = dy.reshape(-1, o)
         dwb = dym.T @ cols
-        dw = dwb[:, :-1].reshape(o, k, k, c).transpose(0, 3, 1, 2)
-        grads = LayerParams(np.ascontiguousarray(dw), dwb[:, -1].copy())
+        grads = LayerParams(dwb[:, :-1].reshape(o, k, k, c).transpose(0, 3, 1, 2), dwb[:, -1])
         if not need_dx:
             return None, grads
         dcols = dym @ lp.weight.transpose(0, 2, 3, 1).reshape(o, -1)  # the (O, kkC) kernel matrix
@@ -244,10 +244,14 @@ class MaxPool(Layer):
             dx[:, :, k * wo :] = 0.0
         else:
             dx = np.zeros(x.shape)
-        pending = np.ones(y.shape, np.bool_)  # outputs whose gradient is not yet placed
-        for i, j in self._offsets():
-            hit = (_shifted(x, i, j, s, ho, wo) == y) & pending
-            pending &= ~hit
+        for n, (i, j) in enumerate(self._offsets()):
+            hit = _shifted(x, i, j, s, ho, wo) == y
+            if n == 0:  # the first slot takes every max it holds
+                pending = ~hit  # outputs whose gradient is not yet placed
+            else:
+                hit &= pending
+                if n < k * k - 1:  # the last slot leaves no output to track
+                    pending ^= hit  # hit is a subset of pending
             dxs = _shifted(dx, i, j, s, ho, wo)
             if k == s:
                 np.multiply(dy, hit, out=dxs)
@@ -317,9 +321,10 @@ class Softmax(Layer):
         return in_shape
 
     def forward(self, z, lp):
-        shifted = z - z.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True), None
+        top = z.max(axis=1, keepdims=True)
+        e = np.exp(z - top)
+        total = e.sum(axis=1, keepdims=True)
+        return e / total, (top, total)  # the loss's logsumexp is log(total) + top
 
     def backward(self, dy, cache, lp, need_dx):
         return dy, None
@@ -410,6 +415,23 @@ class NetSpec:
             if isinstance(layer, (Conv, MaxPool)):
                 extent = tuple((n - 1) * layer.stride + layer.kernel for n in extent)
         return extent
+
+    @functools.cached_property
+    def run_order(self) -> tuple[int, ...]:
+        """Indices of layers in the order they run: a relu directly followed
+        by a max-pool runs after it, on 1/k^2 as many values.  Relu is
+        nondecreasing, so the max commutes with it; and where relu passes a
+        gradient the max is positive, so first-max routing picks the same
+        input.  Only layers before flatten move, so every tap runs a prefix."""
+        order = list(range(len(self.layers)))
+        for p in range(len(order) - 1):
+            if isinstance(self.layers[order[p]], Relu) and isinstance(self.layers[order[p + 1]], MaxPool):
+                order[p], order[p + 1] = order[p + 1], order[p]
+        return tuple(order)
+
+    @functools.cached_property
+    def first_parametric(self) -> int:
+        return next(i for i, shapes in enumerate(self.param_shapes()) if shapes is not None)
 
     def param_shapes(self) -> list[tuple[tuple[int, ...], tuple[int, ...]] | None]:
         """Per layer: (weight shape, bias shape) for parametric layers, else None."""
@@ -548,19 +570,6 @@ def _check_batch(spec: NetSpec, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-def _run_order(layers) -> list[int]:
-    """Indices of layers in the order they run: a relu directly followed by
-    a max-pool runs after it, on 1/k^2 as many values.  Relu is
-    nondecreasing, so the max commutes with it; and where relu passes a
-    gradient the max is positive, so first-max routing picks the same input.
-    Only stateless layers move."""
-    order = list(range(len(layers)))
-    for p in range(len(order) - 1):
-        if isinstance(layers[order[p]], Relu) and isinstance(layers[order[p + 1]], MaxPool):
-            order[p], order[p + 1] = order[p + 1], order[p]
-    return order
-
-
 def forward(spec: NetSpec, params: NetParams, batch: np.ndarray, tap: Tap = Tap.HEAD) -> np.ndarray:
     """Activations at the requested tap for a batch of any size, computed
     FORWARD_CHUNK images at a time into one array.  Pure and reentrant.
@@ -569,12 +578,12 @@ def forward(spec: NetSpec, params: NetParams, batch: np.ndarray, tap: Tap = Tap.
     activation beyond the layer that needs it.  The batch is cropped to
     ``spec.input_extent`` first: valid windows on a top-left crop give
     exactly the top-left outputs that reach the flatten layer.  The layers
-    run in ``_run_order``.  Every product is batch-invariant, so an image's
+    run in ``spec.run_order``.  Every product is batch-invariant, so an image's
     result does not depend on its batch-mates or on the chunks."""
     batch = _check_batch(spec, batch)
     h, w = spec.input_extent
     index = spec.tap_index(tap)
-    steps = [(spec.layers[i], params.layers[i]) for i in _run_order(spec.layers[:index])]
+    steps = [(spec.layers[i], params.layers[i]) for i in spec.run_order[:index]]
     out = np.empty((batch.shape[0],) + spec.layer_shapes[index - 1])  # the tap's shape, flat for every tap
     for start in range(0, batch.shape[0], FORWARD_CHUNK):
         x = np.ascontiguousarray(batch[start : start + FORWARD_CHUNK, :, :h, :w].transpose(0, 2, 3, 1))
@@ -604,7 +613,7 @@ def loss_and_grads(
 
     As in ``forward``, the batch is cropped to ``spec.input_extent``, the
     top-left pixels that reach the flatten layer (the rest would get exactly
-    zero gradient), and the layers run in ``_run_order``; backward walks the
+    zero gradient), and the layers run in ``spec.run_order``; backward walks the
     same order in reverse.  Layers with index below ``freeze_below`` get
     exactly-zero gradients.  Backpropagation stops at the lowest layer that
     needs a gradient, and the gradient w.r.t. that layer's input is not
@@ -614,26 +623,23 @@ def loss_and_grads(
     labels = _check_labels(labels, spec.class_count)
     if labels.shape[0] != batch.shape[0]:
         raise ShapeError("batch and labels disagree on length")
-    n = batch.shape[0]
+    rows = np.arange(batch.shape[0])
 
     h, w = spec.input_extent
     x = np.ascontiguousarray(batch[:, :, :h, :w].transpose(0, 2, 3, 1))
-    order = _run_order(spec.layers)
+    order = spec.run_order
     caches: list = [None] * len(spec.layers)  # indexed by spec layer, like grads
     for i in order:
         logits = x
         x, caches[i] = spec.layers[i].forward(x, params.layers[i])
-    probs = x
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-    loss = float(np.mean(logsumexp - logits[np.arange(n), labels]))
+    top, total = caches[order[-1]]  # the softmax's row max and exp-sum
+    loss = float(np.mean((np.log(total) + top)[:, 0] - logits[rows, labels]))
 
-    grad = probs.copy()
-    grad[np.arange(n), labels] -= 1.0
-    grad /= n
+    grad = x  # the probabilities, which nothing else reads
+    grad[rows, labels] -= 1.0
+    grad /= rows.size
 
-    first_parametric = next(i for i, lp in enumerate(params.layers) if lp is not None)
-    stop = max(freeze_below or 0, first_parametric)
+    stop = max(freeze_below or 0, spec.first_parametric)
     grads: list[LayerParams | None] = [None] * len(spec.layers)
     # only stateless layers leave their position, so walking down to position
     # stop reaches every parametric layer from stop up
@@ -670,13 +676,17 @@ def train(
     if cfg.batch_size > n:
         raise ContractError(f"batch_size {cfg.batch_size} exceeds training set size {n}")
 
-    current = params.map(lambda a: a.copy())
-    velocity = params.map(np.zeros_like)
     rng = Rng(cfg.seed)
-    trainable = [i for i, lp in enumerate(current.layers) if lp is not None and i >= (freeze_below or 0)]
+    trainable = [i for i, lp in enumerate(params.layers) if lp is not None and i >= (freeze_below or 0)]
     if not trainable:
         head = spec.head_index()
         raise ContractError(f"freeze_below {freeze_below} leaves nothing to train: the head is layer {head}")
+    arrays = [a for lp in params.layers if lp is not None for a in (lp.weight, lp.bias)]
+    theta = np.concatenate(arrays, axis=None)  # a private copy, which current's arrays view
+    views = iter(np.split(theta, np.cumsum([a.size for a in arrays[:-1]])))
+    current = params.map(lambda a: next(views).reshape(a.shape))
+    live = theta[-sum(a.size for a in arrays[-2 * len(trainable) :]) :]  # the trainable layers' suffix
+    velocity, grad = np.zeros_like(live), np.empty_like(live)
     history: list[float] = []
     for epoch in range(cfg.epochs):
         lr = cfg.lr_at(epoch)
@@ -686,14 +696,14 @@ def train(
             idx = order[start : start + cfg.batch_size]
             loss, grads = loss_and_grads(spec, current, images[idx], labels[idx], freeze_below)
             loss_sum += loss * idx.size
-            for i in trainable:
-                lp, vp, gp = current.layers[i], velocity.layers[i], grads.layers[i]
-                for p, v, g in ((lp.weight, vp.weight, gp.weight), (lp.bias, vp.bias, gp.bias)):
-                    v *= MOMENTUM
-                    v += g + WEIGHT_DECAY * p
-                    p -= lr * v
+            parts = [a for i in trainable for a in (grads.layers[i].weight, grads.layers[i].bias)]
+            np.concatenate(parts, axis=None, out=grad)
+            grad += WEIGHT_DECAY * live
+            velocity *= MOMENTUM
+            velocity += grad
+            live -= lr * velocity
         history.append(loss_sum / n)
-    return current, history
+    return current.map(np.copy), history  # nets kept viewing theta took 1.2 MiB more peak RSS on transfer-sweep
 
 
 def reinit_head(

@@ -150,6 +150,34 @@ def reference_loss_and_grads(spec, params, batch, labels):
     return loss, NetParams(tuple(grads))
 
 
+def reference_train(spec, params, images, labels, cfg, freeze_below=None):
+    """convnet.train's SGD as a loop over each trained array, on copies of
+    params, driving convnet.loss_and_grads itself."""
+    current = params.map(np.copy)
+    velocity = params.map(np.zeros_like)
+    rng = Rng(cfg.seed)
+    n = images.shape[0]
+    history = []
+    for epoch in range(cfg.epochs):
+        lr = cfg.lr_at(epoch)
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            loss, grads = convnet.loss_and_grads(spec, current, images[idx], labels[idx], freeze_below)
+            loss_sum += loss * idx.size
+            for i, lp in enumerate(current.layers):
+                if lp is None or i < (freeze_below or 0):
+                    continue
+                vp, gp = velocity.layers[i], grads.layers[i]
+                for p, v, g in ((lp.weight, vp.weight, gp.weight), (lp.bias, vp.bias, gp.bias)):
+                    v *= convnet.MOMENTUM
+                    v += g + convnet.WEIGHT_DECAY * p
+                    p -= lr * v
+        history.append(loss_sum / n)
+    return current, history
+
+
 class TestSpecValidation:
     def test_default_spec_shapes(self):
         spec = convnet.default_spec((3, 16, 16), 12)
@@ -368,14 +396,25 @@ class TestLossAndGrads:
         assert np.float64(dirty_loss).tobytes() == np.float64(loss).tobytes()
         assert grad_bytes(dirty_grads) == grad_bytes(grads)
 
-    @pytest.mark.parametrize("pool", [None, (2, 2, 8), (3, 2, 9)], ids=["tiny", "disjoint-2-2", "overlapping-3-2"])
+    @pytest.mark.parametrize(
+        "pool", [None, (2, 2, 8), (3, 2, 9), "wide-logits"], ids=["tiny", "disjoint-2-2", "overlapping-3-2", "wide-logits"]
+    )
     def test_inference_order_matches_the_spec_order_reference(self, monkeypatch, pool):
         # the crop drops nothing here, so relu after the pool and the
-        # disjoint-window backward are all that differ from the reference
-        if pool is None:
+        # disjoint-window backward are all that differ from the reference;
+        # the loss from the softmax's own max and exp-sum must equal the
+        # reference's two-pass logsumexp, also where exp underflows
+        if pool in (None, "wide-logits"):
             spec = tiny_spec()
             params = convnet.init_params(spec, Rng(7))
             x = Rng(8).normal((6,) + spec.input_shape)
+            if pool == "wide-logits":
+                head = spec.head_index()
+                layers = list(params.layers)
+                layers[head] = LayerParams(3e3 * params.layers[head].weight, params.layers[head].bias)
+                params = NetParams(tuple(layers))
+                logits = training_activations(spec, params, x)[head + 1]
+                assert (logits.max(axis=1) - logits.min(axis=1)).max() > 700
         else:
             k, stride, size = pool
             spec, params = relu_pool_spec(k, stride, size)
@@ -466,6 +505,20 @@ class TestKernels:
         np.testing.assert_allclose(grads.bias, ref_db, rtol=1e-12, atol=1e-12)
         assert layer.backward(nhwc(dy), cache, lp, False)[0] is None
 
+    @pytest.mark.parametrize("k,stride", [(3, 1), (2, 2)])
+    def test_conv_reads_a_non_contiguous_view_like_its_copy(self, k, stride):
+        # a channels-last view of a sliced, cropped NCHW batch; both output
+        # widths are even, so infer pairs its rows
+        rng = np.random.default_rng(k)
+        batch = rng.normal(size=(6, 3, 12, 11))
+        view = batch[::2, :, 1:, :-1].transpose(0, 2, 3, 1)
+        assert not view.flags.c_contiguous
+        copy = np.ascontiguousarray(view)
+        layer = Conv(4, k, stride)
+        lp = LayerParams(rng.normal(size=(4, 3, k, k)), rng.normal(size=4))
+        assert layer.forward(view, lp)[0].tobytes() == layer.forward(copy, lp)[0].tobytes()
+        assert layer.infer(view, lp).tobytes() == layer.infer(copy, lp).tobytes()
+
     @pytest.mark.parametrize(
         "k,stride,size", [(3, 2, 8), (2, 2, 7), (2, 2, 8)], ids=["overlapping-3-2", "cropped-2-2", "tiled-2-2"]
     )
@@ -486,15 +539,51 @@ class TestKernels:
         expected[0, 0, 0, last] = 3.0
         assert np.array_equal(dx, expected)
 
-    @pytest.mark.parametrize("k,stride,size", [(3, 2, 10), (2, 2, 9), (2, 1, 6), (2, 2, 8)])
-    def test_maxpool_matches_argmax_oracle_with_many_ties(self, k, stride, size):
+    @pytest.mark.parametrize(
+        "k,stride,size,fill",
+        [
+            (3, 2, 10, "random"),
+            (2, 2, 9, "random"),
+            (2, 1, 6, "random"),
+            (2, 2, 8, "random"),
+            (2, 2, 8, "all-tie"),
+            (3, 2, 9, "all-tie"),
+            (2, 2, 8, "last-slot"),
+            (3, 2, 9, "last-slot"),
+        ],
+        ids=[
+            "3-2-10",
+            "2-2-9",
+            "2-1-6",
+            "2-2-8",
+            "all-tie-tiled-2-2",
+            "all-tie-overlapping-3-2",
+            "last-slot-tiled-2-2",
+            "last-slot-overlapping-3-2",
+        ],
+    )
+    def test_maxpool_matches_argmax_oracle_with_many_ties(self, k, stride, size, fill):
+        # all-tie: every window's k * k slots hold its max, and slot 0 takes
+        # the gradient; last-slot: values rise in row-major order, so only
+        # each window's last slot holds its max
         rng = np.random.default_rng(size)
-        x = rng.integers(0, 3, size=(2, 3, size, size + 1)).astype(float)
+        shape = (2, 3, size, size + 1)
+        x = {
+            "random": rng.integers(0, 3, size=shape).astype(float),
+            "all-tie": np.ones(shape),
+            "last-slot": np.arange(math.prod(shape), dtype=float).reshape(shape),
+        }[fill]
         layer = MaxPool(k, stride)
         y, cache = layer.forward(nhwc(x), None)
         dy = rng.integers(-4, 5, size=nchw(y).shape).astype(float)  # exact sums in any order
         ref_y, ref_dx = maxpool_oracle(x, k, stride, dy)
         assert np.array_equal(nchw(y), ref_y)
+        if fill != "random":
+            slot = 0 if fill == "all-tie" else k - 1
+            ho, wo = ref_y.shape[2:]
+            chosen = np.zeros(x.shape, np.bool_)
+            chosen[:, :, slot : slot + stride * ho : stride, slot : slot + stride * wo : stride] = True
+            assert ref_dx[chosen].any() and not ref_dx[~chosen].any()
         assert np.array_equal(nchw(layer.backward(nhwc(dy), cache, None, True)[0]), ref_dx)
 
 
@@ -652,6 +741,37 @@ class TestTrain:
         for out, history in results:
             assert params_equal(out, alone[0])
             assert history == alone[1]
+
+    @pytest.mark.parametrize("freeze_below", [None, 7])
+    @pytest.mark.parametrize(
+        "make_spec", [tiny_spec, lambda: convnet.default_spec((3, 16, 16), 4)], ids=["tiny", "default"]
+    )
+    def test_flat_update_matches_the_per_array_reference(self, make_spec, freeze_below):
+        spec = make_spec()
+        params = convnet.init_params(spec, Rng(1))
+        before = grad_bytes(params)
+        images = Rng(2).normal((22,) + spec.input_shape)  # batches of 8, then a last one of 6
+        labels = np.arange(22) % spec.class_count
+        cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=8, seed=3)
+        out, history = convnet.train(spec, params, images, labels, cfg, freeze_below)
+        ref, ref_history = reference_train(spec, params, images, labels, cfg, freeze_below)
+        assert grad_bytes(out) == grad_bytes(ref)
+        assert np.array(history).tobytes() == np.array(ref_history).tobytes()
+        assert grad_bytes(params) == before
+        assert not params_equal(out, params)
+
+    def test_every_step_calls_the_module_loss_and_grads(self, monkeypatch):
+        # perfbench counts convnet.sgd_steps and times convnet.step_ms by
+        # patching this module global
+        calls = []
+        real = convnet.loss_and_grads
+        monkeypatch.setattr(convnet, "loss_and_grads", lambda *a: calls.append(1) or real(*a))
+        spec = tiny_spec()
+        params = convnet.init_params(spec, Rng(1))
+        n, epochs, batch_size = 22, 3, 8
+        cfg = TrainConfig(epochs=epochs, batch_size=batch_size, seed=0)
+        convnet.train(spec, params, Rng(2).normal((n, 2, 8, 8)), np.arange(n) % 3, cfg)
+        assert len(calls) == epochs * math.ceil(n / batch_size)
 
     def test_zero_learning_rate_is_identity(self):
         spec = tiny_spec()
