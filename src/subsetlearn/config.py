@@ -108,8 +108,8 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
     Every problem raises ConfigError: unknown sections or keys, unparsable
     or non-finite values, dataset ids with a comma, colon or whitespace,
     missing datasets, values SystemConfig or the stage graph rejects, no
-    seeds, or referenced files that do not exist.  Dataset counts are
-    checked when build_datasets generates them.
+    seeds, a negative or repeated seed, or referenced files that do not
+    exist.  Dataset arguments are checked when build_datasets generates them.
     """
     path = Path(path)
     if not path.is_file():
@@ -146,12 +146,15 @@ def parse_config(path, seed_override: int | None = None) -> RunConfig:
 
     raw = values[RunConfig]  # strings, read below
     if seed_override is not None:
-        seeds: tuple[int, ...] = (int(seed_override),)
+        where, seeds = "--seed", (int(seed_override),)
     else:
         raw_seeds = raw.get("seeds", "").replace(",", " ").split()
         if not raw_seeds:
             raise ConfigError("[run] must list at least one seed")
-        seeds = tuple(_parse_value("run", "seeds", s, int) for s in raw_seeds)
+        where, seeds = "[run] seeds", tuple(_parse_value("run", "seeds", s, int) for s in raw_seeds)
+    for i, seed in enumerate(seeds):  # a repeated seed would train and write the same run twice
+        if seed < 0 or seed in seeds[:i]:
+            raise ConfigError(f"{where}: seed {seed} is {'negative' if seed < 0 else 'listed twice'}")
     target = raw.get("target", "target").strip()
 
     datasets: dict[str, dict] = {}

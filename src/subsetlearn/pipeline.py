@@ -115,13 +115,18 @@ def generate_synthetic(
         raise ContractError("all counts must be positive")
     if not 0.0 <= intra_group_similarity <= 1.0:
         raise ContractError("intra_group_similarity must lie in [0, 1]")
-    if channels < 1 or image_size < _GLYPH + 2 * max(jitter, 0) + 1:
+    if channels < 1:
+        raise ContractError("channels must be >= 1")
+    if image_size < _GLYPH + 2 * max(jitter, 0) + 1:
         raise ContractError("image_size too small for the glyph and jitter")
     if jitter < 0 or not 0 <= noise < math.inf:
         raise ContractError("jitter must be >= 0, and noise >= 0 and finite")
     if not math.isfinite(glyph_contrast):
         raise ContractError("glyph_contrast must be finite")
     style_seed = seed if style_seed is None else style_seed
+    for name, value in (("seed", seed), ("style_seed", style_seed)):
+        if value < 0:
+            raise ContractError(f"{name} must be >= 0")
     arguments = locals()
     generator = {name: arguments[name] for name in inspect.signature(generate_synthetic).parameters}
 
@@ -139,7 +144,6 @@ def generate_synthetic(
         n_classes,
     )
     center = (image_size - _GLYPH) // 2
-    row = 0
     for c in range(n_classes):
         g = c // classes_per_group
         own = _draw_style(Rng(derive_seed(seed, 13, c)), channels)
@@ -150,22 +154,23 @@ def generate_synthetic(
             mask[_GLYPH // 2, _GLYPH // 2] = 1.0
         chan_w = glyph_rng.normal(channels)
         chan_w = chan_w / max(1e-9, float(np.max(np.abs(chan_w))))
-        base = (
+        # The class's rows, filled as one block: only the draws and the glyph
+        # stamp run per image, and each draw keeps its place in img_rng's stream.
+        block = images[c * per_class : (c + 1) * per_class]
+        block[:] = (
             style["color"][:, None, None]
             + style["amp"]
             * style["chan_mod"][:, None, None]
             * np.sin(2.0 * np.pi * (style["fx"] * xx + style["fy"] * yy) / image_size + style["phase"])
         )
+        glyph = glyph_contrast * chan_w[:, None, None] * mask
         img_rng = Rng(derive_seed(seed, 17, c))
-        for _ in range(per_class):
-            img = base.copy()
+        for img in block:
             dy, dx = (int(v) for v in img_rng.integers(-jitter, jitter + 1, size=2)) if jitter else (0, 0)
-            py, px = center + dy, center + dx
-            img[:, py : py + _GLYPH, px : px + _GLYPH] += glyph_contrast * chan_w[:, None, None] * mask
+            img[:, center + dy : center + dy + _GLYPH, center + dx : center + dx + _GLYPH] += glyph
             if noise:
                 img += noise * img_rng.normal(img.shape)
-            images[row] = np.clip(img, 0.0, 1.0)
-            row += 1
+        np.clip(block, 0.0, 1.0, out=block)
     names = tuple(f"g{c // classes_per_group:02d}c{c % classes_per_group:02d}" for c in range(n_classes))
     return DatasetHandle(images=images, labels=labels, split=split, class_names=names, generator=generator)
 

@@ -699,6 +699,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "command,config,args,key",
+        [
+            ("gen", with_entry("dataset.target", "seed = -5"), (), "seed"),
+            ("gen", with_entry("dataset.target", "style_seed = -5"), (), "style_seed"),
+            ("gen", with_entry("dataset.target", "channels = 0"), (), "channels"),
+            ("train", CONFIG.replace("seeds = 3", "seeds = -3"), (), "[run] seeds"),
+            ("train", CONFIG.replace("seeds = 3", "seeds = 1, 1"), (), "[run] seeds"),
+            ("train", CONFIG, ("--seed", "-1"), "--seed"),
+        ],
+        ids=["dataset-seed", "dataset-style-seed", "channels", "negative-run-seed", "repeated-run-seed", "seed-flag"],
+    )
+    def test_bad_seed_or_channels_exit_2(self, run_cli, tmp_path, command, config, args, key):
+        path = tmp_path / "run.ini"
+        path.write_text(config)
+        out = tmp_path / "out"
+        result = run_cli("--out-dir", str(out), command, "--config", str(path), *args, cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert any(line.startswith("error:") and key in line for line in result.stderr.splitlines()), result.stderr
+        assert not any(out.iterdir())
+
     def test_defaults_come_from_system_config(self, tmp_path):
         path = tmp_path / "minimal.ini"
         path.write_text("[run]\nseeds = 5 6\n\n[dataset.target]\nn_groups = 2\n")

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import inspect
 import json
 import math
 import struct
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from subsetlearn import cluster, container, convnet, fusion, pipeline, subset
 from subsetlearn.convnet import Conv, Fc, Flatten, MaxPool, NetSpec, Relu, Softmax, Tap, TrainConfig
 from subsetlearn.errors import ContainerError, ContractError, InvariantError, ShapeError
-from subsetlearn.numkit import Rng
+from subsetlearn.numkit import Rng, derive_seed
 from subsetlearn.pipeline import (
     StageGraph,
     StageSpec,
@@ -77,6 +78,78 @@ def saved_files(tiny_bundle, tmp_path_factory):
     save_bundle(out / "bundle.sfl", bundle)
     save_dataset(out / "dataset.sfl", ds)
     return {kind: (out / f"{kind}.sfl").read_bytes() for kind in ("bundle", "dataset")}
+
+
+def reference_generate(**kwargs):
+    """generate_synthetic as one loop over the images, each built, clipped and
+    copied on its own; the defaults are generate_synthetic's."""
+    params = inspect.signature(generate_synthetic).parameters
+    a = {name: p.default for name, p in params.items()} | kwargs
+    if a["style_seed"] is None:
+        a["style_seed"] = a["seed"]
+    size, channels, jitter, noise = a["image_size"], a["channels"], a["jitter"], a["noise"]
+    n_classes = a["n_groups"] * a["classes_per_group"]
+    per_class = a["train_per_class"] + a["test_per_class"]
+    group_styles = [
+        pipeline._draw_style(Rng(derive_seed(a["style_seed"], 7, g)), channels) for g in range(a["n_groups"])
+    ]
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    glyph = pipeline._GLYPH
+    center = (size - glyph) // 2
+    images = []
+    for c in range(n_classes):
+        own = pipeline._draw_style(Rng(derive_seed(a["seed"], 13, c)), channels)
+        style = pipeline._blend(group_styles[c // a["classes_per_group"]], own, a["intra_group_similarity"])
+        glyph_rng = Rng(derive_seed(a["seed"], 11, c))
+        mask = (glyph_rng.random((glyph, glyph)) < 0.5).astype(np.float64)
+        if mask.sum() == 0:
+            mask[glyph // 2, glyph // 2] = 1.0
+        chan_w = glyph_rng.normal(channels)
+        chan_w = chan_w / max(1e-9, float(np.max(np.abs(chan_w))))
+        base = (
+            style["color"][:, None, None]
+            + style["amp"]
+            * style["chan_mod"][:, None, None]
+            * np.sin(2.0 * np.pi * (style["fx"] * xx + style["fy"] * yy) / size + style["phase"])
+        )
+        img_rng = Rng(derive_seed(a["seed"], 17, c))
+        for _ in range(per_class):
+            img = base.copy()
+            dy, dx = (int(v) for v in img_rng.integers(-jitter, jitter + 1, size=2)) if jitter else (0, 0)
+            py, px = center + dy, center + dx
+            img[:, py : py + glyph, px : px + glyph] += a["glyph_contrast"] * chan_w[:, None, None] * mask
+            if noise:
+                img += noise * img_rng.normal(img.shape)
+            images.append(np.clip(img, 0.0, 1.0))
+    split = [pipeline.TRAIN] * a["train_per_class"] + [pipeline.TEST] * a["test_per_class"]
+    per_group = a["classes_per_group"]
+    return pipeline.DatasetHandle(
+        images=np.stack(images),
+        labels=np.repeat(np.arange(n_classes, dtype=np.int64), per_class),
+        split=np.tile(np.array(split, np.uint8), n_classes),
+        class_names=tuple(f"g{c // per_group:02d}c{c % per_group:02d}" for c in range(n_classes)),
+        generator=a,
+    )
+
+
+# The perfbench workloads' datasets, each generated for seeds 1, 2 and 7
+# under one shared style seed, as the workloads and `subsetlearn gen` share it.
+WORKLOAD_DATA = {
+    "train-k3": dict(n_groups=3, classes_per_group=4, train_per_class=100, test_per_class=30),
+    "eval-k6": dict(n_groups=6, classes_per_group=4, train_per_class=40, test_per_class=100),
+    "sweep-general": dict(n_groups=4, classes_per_group=4, train_per_class=60, test_per_class=2),
+    "sweep-domain": dict(n_groups=3, classes_per_group=4, train_per_class=100, test_per_class=2),
+    "sweep-target": dict(n_groups=3, classes_per_group=4, train_per_class=10, test_per_class=30),
+}
+GENERATOR_CASES = {
+    **{name: [dict(data, seed=s, style_seed=11) for s in (1, 2, 7)] for name, data in WORKLOAD_DATA.items()},
+    **{f"defaults-seed{s}": [dict(seed=s)] for s in range(1, 6)},
+    "no-jitter": [dict(TINY, jitter=0)],
+    "no-noise": [dict(TINY, noise=0.0)],
+    "one-channel-wide-jitter": [dict(TINY, channels=1, image_size=20, jitter=5)],
+    "no-groups-dark-glyph": [dict(TINY, intra_group_similarity=0.0, glyph_contrast=-0.3)],
+    "one-image-per-split": [dict(TINY, train_per_class=1, test_per_class=1)],
+}
 
 
 class TestGenerateSynthetic:
@@ -165,6 +238,23 @@ class TestGenerateSynthetic:
             generate_synthetic(n_groups=0, classes_per_group=2, train_per_class=1, test_per_class=1)
         with pytest.raises(ContractError):
             generate_synthetic(image_size=8, jitter=3)
+
+    @pytest.mark.parametrize("cases", GENERATOR_CASES.values(), ids=GENERATOR_CASES.keys())
+    def test_same_bytes_as_the_per_image_reference(self, cases):
+        for kwargs in cases:
+            got, want = generate_synthetic(**kwargs), reference_generate(**kwargs)
+            assert got.images.tobytes() == want.images.tobytes()
+            assert got.labels.tobytes() == want.labels.tobytes()
+            assert got.split.tobytes() == want.split.tobytes()
+            assert got.class_names == want.class_names
+            assert got.generator == want.generator
+
+    @pytest.mark.parametrize(
+        "knob,name", [(dict(seed=-5), "seed"), (dict(style_seed=-5), "style_seed"), (dict(channels=0), "channels")]
+    )
+    def test_negative_seed_or_no_channels_rejected(self, knob, name):
+        with pytest.raises(ContractError, match=f"^{name} must be >= "):
+            generate_synthetic(**{**TINY, **knob})
 
     @pytest.mark.parametrize("knob", [dict(noise=math.nan), dict(noise=math.inf), dict(glyph_contrast=math.nan)])
     def test_non_finite_noise_or_contrast_rejected(self, knob):
