@@ -43,6 +43,7 @@ def cmd_train(cfg: RunConfig, out_dir: Path, workers: int) -> int:
     rows = []
     for seed in cfg.seeds:
         datasets = cfg.build_datasets(seed)
+        cfg.check_datasets(datasets)
         target = datasets[cfg.target]
         bundle = pipeline.build_system(
             target,

@@ -11,10 +11,14 @@ import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from .convnet import TrainConfig
 from .errors import ConfigError, ContractError
 from .numkit import derive_seed
 from .pipeline import (
+    TEST,
+    TRAIN,
     DatasetHandle,
     StageGraph,
     SystemConfig,
@@ -69,6 +73,34 @@ class RunConfig:
             except ContractError as exc:
                 raise ConfigError(f"dataset {ds_id!r}: {exc}") from exc
         return out
+
+    def check_datasets(self, datasets: dict[str, DatasetHandle]) -> None:
+        """Raise ConfigError, naming the key, if the target cannot train the
+        system: fewer than two classes, k above its class count, no more train
+        rows than classes (the LDA needs more), a class with no train row, or
+        an empty test split."""
+        target = datasets[self.target]
+        file_backed = "file" in self.datasets[self.target]
+
+        def key(name: str) -> str:
+            return f"[dataset.{self.target}] {'file' if file_backed else name}"
+
+        n_classes = target.n_classes
+        train = target.labels[target.split == TRAIN]
+        if n_classes < 2:
+            raise ConfigError(f"{key('n_groups, classes_per_group')}: {n_classes} classes, the LDA needs two")
+        if self.system.k > n_classes:
+            raise ConfigError(f"[run] k = {self.system.k} exceeds the target's {n_classes} classes")
+        if train.size <= n_classes:
+            raise ConfigError(
+                f"{key('train_per_class')}: {train.size} train rows for {n_classes} classes, "
+                "the LDA needs more rows than classes"
+            )
+        missing = np.setdiff1d(np.arange(n_classes), train)
+        if missing.size:
+            raise ConfigError(f"{key('train_per_class')}: class {target.class_names[missing[0]]!r} has no train row")
+        if not np.any(target.split == TEST):
+            raise ConfigError(f"{key('test_per_class')}: the test split is empty")
 
 
 # (section, key) -> (owner, field, type) for every key of the fixed sections.

@@ -9,8 +9,6 @@ import hashlib
 import inspect
 import json
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,31 +250,10 @@ def parse_stage_graph(text: str) -> StageGraph:
     return StageGraph(tuple(stages))
 
 
-# Stage outputs this process has trained, most recently used last: prefix key ->
-# (net, per-epoch loss history).  A default-spec net is about 50 KB.
-STAGE_CACHE_SIZE = 8
-_STAGE_CACHE: OrderedDict[str, tuple[Network, list[float]]] = OrderedDict()
-_STAGE_CACHE_LOCK = threading.Lock()
-
-
-def _cached_stage(key: str) -> tuple[Network, list[float]] | None:
-    with _STAGE_CACHE_LOCK:
-        hit = _STAGE_CACHE.get(key)
-        if hit is not None:
-            _STAGE_CACHE.move_to_end(key)
-        return hit
-
-
-def _cache_stage(key: str, net: Network, history: list[float]) -> None:
-    for lp in net.params.layers:
-        if lp is not None:
-            lp.weight.setflags(write=False)
-            lp.bias.setflags(write=False)
-    with _STAGE_CACHE_LOCK:
-        _STAGE_CACHE[key] = (net, list(history))
-        _STAGE_CACHE.move_to_end(key)
-        while len(_STAGE_CACHE) > STAGE_CACHE_SIZE:
-            _STAGE_CACHE.popitem(last=False)
+# The latest run_stage_graph call's stages, one (prefix key, read-only net,
+# per-epoch loss history) each.  A call reads it once and replaces it whole,
+# so a thread sees either the old chain or the new one and needs no lock.
+_LAST_CHAIN: tuple[tuple[str, Network, tuple[float, ...]], ...] = ()
 
 
 def run_stage_graph(
@@ -292,15 +269,17 @@ def run_stage_graph(
 
     Training is deterministic in ``base_cfg``, the stage specs so far and the
     train tensors they read, so each stage prefix is keyed by a SHA-256 chain
-    over exactly those (not dataset names or object identity).  A prefix this
-    process has already trained is reused bit-identically from an LRU of
-    STAGE_CACHE_SIZE stage outputs; the returned net's arrays are read-only.
+    over exactly those (not dataset names or object identity).  A stage whose
+    key equals the same stage's of the previous call is reused bit-identically
+    from _LAST_CHAIN, so a graph run right after its own prefix trains only
+    the new stages; the returned net's arrays are read-only.
     """
+    global _LAST_CHAIN
     for stage in graph.stages:
         if stage.dataset not in datasets:
             raise ContractError(f"stage graph references missing dataset {stage.dataset!r}")
+    last, chain = _LAST_CHAIN, []
     net: Network | None = None
-    histories: list[list[float]] = []
     prefix = hashlib.sha256(repr(base_cfg).encode())
     for i, stage in enumerate(graph.stages):
         ds = datasets[stage.dataset]
@@ -314,17 +293,20 @@ def run_stage_graph(
         prefix.update(np.ascontiguousarray(images))
         prefix.update(np.ascontiguousarray(labels))
         key = prefix.hexdigest()
-        hit = _cached_stage(key)
-        if hit is not None:
-            net, history = hit
-            histories.append(list(history))
+        if i < len(last) and last[i][0] == key:
+            chain.append(last[i])
+            net = last[i][1]
             continue
         # net is None exactly at the first stage, the only rt one
         init_seed = derive_seed(base_cfg.seed, 1000 + i)
         net, history = convnet.fit(images, labels, ds.n_classes, cfg, init_seed, net, stage.freeze_below)
-        _cache_stage(key, net, history)
-        histories.append(history)
-    return StageResult(net=net, histories=histories)
+        for lp in net.params.layers:
+            if lp is not None:
+                lp.weight.setflags(write=False)
+                lp.bias.setflags(write=False)
+        chain.append((key, net, tuple(history)))
+    _LAST_CHAIN = tuple(chain)
+    return StageResult(net=net, histories=[list(history) for _, _, history in chain])
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,6 @@ def run_cli():
 
 
 @pytest.fixture(autouse=True)
-def cold_stage_cache():
-    """Each test starts with no stage outputs cached in-process by an earlier test."""
-    pipeline._STAGE_CACHE.clear()
+def cold_stage_chain():
+    """Each test starts with no stage outputs kept in-process by an earlier test."""
+    pipeline._LAST_CHAIN = ()

@@ -577,6 +577,19 @@ class TestClusterReport:
             assert not (out / "cluster_report.csv").exists()
 
 
+def train_exits_2_untrained(tmp_path, monkeypatch, capsys, config: str) -> str:
+    """Run ``train`` on ``config`` in-process, assert that it exits 2 having
+    trained nothing and written no file, and return its stderr."""
+    calls = []
+    monkeypatch.setattr(convnet, "train", lambda *args, **kwargs: calls.append(args))
+    path = tmp_path / "run.ini"
+    path.write_text(config)
+    out = tmp_path / "out"
+    assert cli.main(["--out-dir", str(out), "train", "--config", str(path)]) == 2
+    assert not any(out.iterdir()) and calls == []
+    return capsys.readouterr().err
+
+
 class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -719,6 +732,42 @@ class TestConfigParsing:
         assert result.returncode == 2, result.stderr
         assert any(line.startswith("error:") and key in line for line in result.stderr.splitlines()), result.stderr
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "config,key",
+        [
+            (CONFIG.replace("k = 2", "k = 5"), "[run] k"),
+            (CONFIG.replace("train_per_class = 10", "train_per_class = 1"), "[dataset.target] train_per_class"),
+            (
+                CONFIG.replace("n_groups = 2", "n_groups = 1").replace("classes_per_group = 2", "classes_per_group = 1")
+                .replace("k = 2", "k = 1"),
+                "[dataset.target] n_groups, classes_per_group",
+            ),
+        ],
+        ids=["k-above-class-count", "one-train-row-per-class", "one-class"],
+    )
+    def test_target_too_small_exits_2_before_training(self, tmp_path, monkeypatch, capsys, config, key):
+        err = train_exits_2_untrained(tmp_path, monkeypatch, capsys, config)
+        assert any(line.startswith("error:") and key in line for line in err.splitlines()), err
+
+    @pytest.mark.parametrize(
+        "keep,message",
+        [
+            (lambda ds: ds.split == pipeline.TRAIN, "the test split is empty"),
+            (lambda ds: ds.labels != 3, "class 'g01c01' has no train row"),
+        ],
+        ids=["no-test-rows", "class-without-train-rows"],
+    )
+    def test_file_target_that_cannot_train_exits_2(self, tmp_path, monkeypatch, capsys, keep, message):
+        ds = pipeline.generate_synthetic(n_groups=2, classes_per_group=2, train_per_class=6, test_per_class=2)
+        rows = keep(ds)
+        pipeline.save_dataset(
+            tmp_path / "target.sfl",
+            dataclasses.replace(ds, images=ds.images[rows], labels=ds.labels[rows], split=ds.split[rows]),
+        )
+        config = f"[run]\nseeds = 3\nk = 2\n\n[dataset.target]\nfile = {tmp_path / 'target.sfl'}\n"
+        err = train_exits_2_untrained(tmp_path, monkeypatch, capsys, config)
+        assert f"error: [dataset.target] file: {message}" in err
 
     def test_defaults_come_from_system_config(self, tmp_path):
         path = tmp_path / "minimal.ini"

@@ -1,11 +1,15 @@
 import collections
 import dataclasses
 import inspect
+import itertools
 import json
 import math
+import os
 import struct
+import sys
 import tracemalloc
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -453,23 +457,50 @@ class TestStageGraph:
         with pytest.raises(ContractError):
             pipeline.parse_stage_graph("a:rt:3:9")
 
-    def test_cached_results_bit_identical_to_cold_runs(self):
-        datasets = sweep_datasets()
+    def cold_sweep(self, datasets):
+        """Each SWEEP graph's result from a call that reuses no earlier stage."""
         cold = {}
         for name, graph in SWEEP.items():
-            pipeline._STAGE_CACHE.clear()
+            pipeline._LAST_CHAIN = ()
             cold[name] = run_stage_graph(graph, datasets, SWEEP_CFG)
-        pipeline._STAGE_CACHE.clear()
+        pipeline._LAST_CHAIN = ()
+        return cold
+
+    def test_cached_results_bit_identical_to_cold_runs(self):
+        datasets = sweep_datasets()
+        cold = self.cold_sweep(datasets)
         for name, graph in SWEEP.items():
             assert_same_result(run_stage_graph(graph, datasets, SWEEP_CFG), cold[name])
+
+    def test_graphs_run_from_threads_at_once_match_cold_runs(self):
+        datasets = sweep_datasets()
+        cold = self.cold_sweep(datasets)
+        names = list(SWEEP)
+        threads = min(os.cpu_count() or 1, 7) + 1  # more threads than cores, and a bounded number
+        orders = [names[i % len(names) :] + names[: i % len(names)] for i in range(threads)]
+
+        def sweep(order):
+            return [(name, run_stage_graph(SWEEP[name], datasets, SWEEP_CFG)) for name in order * 2]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so chains are swapped mid-call
+        try:
+            with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+                runs = list(pool.map(sweep, orders, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for name, result in itertools.chain(*runs):
+            assert_same_result(result, cold[name])
 
     def test_shared_prefix_trains_once(self, monkeypatch):
         calls = count_train_calls(monkeypatch)
         datasets = sweep_datasets()
-        run_stage_graph(SWEEP["g2b"], datasets, SWEEP_CFG)
-        assert len(calls) == 2
-        run_stage_graph(SWEEP["g3"], datasets, SWEEP_CFG)
-        assert len(calls) == 3  # only the target:ft stage is new
+        # transfer-sweep order, then g2b again: only stages the previous call did not run train
+        for name, trained in (("g1", 1), ("g2", 2), ("g2b", 2), ("g3", 1), ("g2b", 0)):
+            before = len(calls)
+            run_stage_graph(SWEEP[name], datasets, SWEEP_CFG)
+            assert len(calls) - before == trained, name
+        assert len(calls) == 6
 
     @pytest.mark.parametrize("change", KEY_CHANGES)
     def test_every_training_input_is_in_the_key(self, monkeypatch, change):
@@ -480,23 +511,6 @@ class TestStageGraph:
         calls = count_train_calls(monkeypatch)
         run_stage_graph(graph, datasets, cfg)
         assert len(calls) == trained
-
-    def test_least_recently_used_stage_is_evicted(self, monkeypatch):
-        datasets = sweep_datasets()
-
-        def run(seed):
-            run_stage_graph(SWEEP["g1"], datasets, dataclasses.replace(SWEEP_CFG, seed=seed, epochs=1))
-
-        for seed in range(pipeline.STAGE_CACHE_SIZE):
-            run(seed)
-        calls = count_train_calls(monkeypatch)
-        run(0)  # a hit makes seed 0 the most recently used
-        run(pipeline.STAGE_CACHE_SIZE)  # the ninth distinct stage evicts seed 1
-        assert len(calls) == 1 and len(pipeline._STAGE_CACHE) == pipeline.STAGE_CACHE_SIZE
-        run(0)
-        assert len(calls) == 1
-        run(1)
-        assert len(calls) == 2
 
     def test_returned_nets_and_histories_cannot_poison_later_hits(self):
         datasets = sweep_datasets()
@@ -614,7 +628,7 @@ class TestBuildSystem:
     def test_deterministic_metrics(self):
         ds = generate_synthetic(**TINY)
         a = evaluate(build_system(ds, config=TINY_SYSTEM), ds, "test")
-        pipeline._STAGE_CACHE.clear()  # the second build must train its base net again
+        pipeline._LAST_CHAIN = ()  # the second build must train its base net again
         b = evaluate(build_system(ds, config=TINY_SYSTEM), ds, "test")
         assert a.mean_accuracy == b.mean_accuracy
         assert a.overall_accuracy == b.overall_accuracy
