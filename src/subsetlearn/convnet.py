@@ -528,23 +528,6 @@ class TrainConfig:
         return self.learning_rate * LR_STEP_FACTOR ** (epoch // LR_STEP_EVERY)
 
 
-def check_params(spec: NetSpec, params: NetParams) -> None:
-    """Raise ShapeError unless params align with spec (shapes and finiteness)."""
-    if len(params.layers) != len(spec.layers):
-        raise ShapeError("params do not align with the spec's layers")
-    for lp, expected in zip(params.layers, spec.param_shapes()):
-        if (lp is None) != (expected is None):
-            raise ShapeError("params do not align with the spec's layers")
-        if lp is None:
-            continue
-        if lp.weight.shape != expected[0] or lp.bias.shape != expected[1]:
-            raise ShapeError(
-                f"parameter shapes {lp.weight.shape}/{lp.bias.shape} do not match {expected}"
-            )
-        if not (np.all(np.isfinite(lp.weight)) and np.all(np.isfinite(lp.bias))):
-            raise ContractError("parameters contain non-finite values")
-
-
 def _fan_in_init(shapes: tuple[tuple[int, ...], tuple[int, ...]], rng: Rng) -> LayerParams:
     w_shape, b_shape = shapes
     fan_in = int(np.prod(w_shape[1:]))

@@ -356,7 +356,8 @@ class ModelBundle:
     def validate(self) -> None:
         """Check every array's shape against four sizes read off the arrays: the
         base tap width D, the LDA width d (columns of lda/projection), k (subset
-        nets) and C (rows of svm/weights); InvariantError names the first misfit."""
+        nets) and C (rows of svm/weights), and each net's parameters against the
+        shapes its layers give; InvariantError names the first misfit."""
         nets, selector, svm = self.ensemble.nets, self.ensemble.selector, self.svm
         if not nets:
             raise InvariantError("bundle requires at least one subset net")
@@ -365,7 +366,16 @@ class ModelBundle:
         base = self.base.spec
         big_d, d, k, c = base.tap_dim(Tap.FC_PENULTIMATE), self.lda.out_dim, len(nets), svm.weights.shape[0]
         sizes, tap_width = np.bincount(self.cluster_map.class_to_subset, minlength=k), self.ensemble.feature_dim
-        table = [
+
+        def params(name: str, net: Network) -> list:
+            # the count row comes first, so a short layer list fails before zip drops a layer
+            layers, shapes = net.params.layers, net.spec.param_shapes()
+            got = [None if lp is None else (lp.weight.shape, lp.bias.shape) for lp in layers]
+            return [(f"{name} layers", len(layers), len(shapes))] + [
+                (f"{name} layer {i}", g, s) for i, (g, s) in enumerate(zip(got, shapes))
+            ]
+
+        table = params("base", self.base) + [
             ("lda/projection", self.lda.projection.shape, (big_d, d)),
             ("lda/global_mean", self.lda.global_mean.shape, (big_d,)),
             ("lda/eigenvalues", self.lda.eigenvalues.shape, (d,)),
@@ -378,12 +388,12 @@ class ModelBundle:
                 (f"subset {j} head", net.spec.class_count, sizes[j]),
                 (f"subset {j} tap width", net.spec.tap_dim(Tap.FC_PENULTIMATE), tap_width),
                 (f"subset {j} input", net.spec.input_shape, base.input_shape),
-            ]
+            ] + params(f"subset {j}", net)
         if isinstance(selector, Network):
             table += [
                 ("selector head", selector.spec.class_count, k),
                 ("selector input", selector.spec.input_shape, base.input_shape),
-            ]
+            ] + params("selector", selector)
         else:
             table.append(("selector kmeans/centroids", selector.kmeans.centroids.shape, (k, d)))
         table += [
@@ -609,57 +619,57 @@ def _int_tensor(path, tensors: dict, name: str, dtype) -> np.ndarray:
     return ints
 
 
-def _params_to_tensors(prefix: str, params: NetParams, out: dict) -> None:
-    for i, lp in enumerate(params.layers):
+def _save_net(prefix: str, net: Network, tensors: dict) -> dict:
+    """Add net's parameters to tensors as prefix/<layer>/weight and bias; returns its spec JSON."""
+    for i, lp in enumerate(net.params.layers):
         if lp is not None:
-            out[f"{prefix}/{i}/weight"] = lp.weight
-            out[f"{prefix}/{i}/bias"] = lp.bias
+            tensors[f"{prefix}/{i}/weight"] = lp.weight
+            tensors[f"{prefix}/{i}/bias"] = lp.bias
+    return _spec_to_json(net.spec)
 
 
-def _params_from_tensors(prefix: str, spec: NetSpec, tensors: dict) -> NetParams:
+def _load_net(prefix: str, spec_obj, tensors: dict) -> Network:
+    """The net _save_net stored under prefix; ModelBundle.validate checks its shapes."""
+    spec = _spec_from_json(spec_obj)
+    layers = tuple(
+        None if shapes is None else convnet.LayerParams(tensors[f"{prefix}/{i}/weight"], tensors[f"{prefix}/{i}/bias"])
+        for i, shapes in enumerate(spec.param_shapes())
+    )
+    return Network(spec, NetParams(layers))
+
+
+def _write_artifact(path, kind: str, tensors: dict, meta: dict) -> None:
+    meta = json.dumps({"kind": kind, **meta}, sort_keys=True, separators=(",", ":"))
+    container.write_container(path, tensors, meta)
+
+
+def _read_artifact(path, kind: str) -> tuple[dict, dict]:
+    """The tensors and the metadata object of a container _write_artifact wrote as kind."""
+    tensors, meta = container.read_container(path)
     try:
-        params = NetParams(
-            tuple(
-                None if shapes is None
-                else convnet.LayerParams(tensors[f"{prefix}/{i}/weight"], tensors[f"{prefix}/{i}/bias"])
-                for i, shapes in enumerate(spec.param_shapes())
-            )
-        )
-    except KeyError as exc:
-        raise InvariantError(f"bundle is missing tensor {exc.args[0]!r}") from exc
-    try:
-        convnet.check_params(spec, params)
-    except (ShapeError, ContractError) as exc:
-        raise InvariantError(f"stored parameters do not match the network description: {exc}") from exc
-    return params
+        info = json.loads(meta)
+    except ValueError:  # not JSON
+        info = None
+    if not isinstance(info, dict):
+        raise InvariantError(f"{path}: {kind} metadata is not a JSON object")
+    if info.get("kind") != kind:
+        raise InvariantError(f"{path}: not a {kind} container")
+    return tensors, info
 
 
 def save_dataset(path, dataset: DatasetHandle) -> None:
-    meta = json.dumps(
-        {
-            "kind": "dataset",
-            "class_names": list(dataset.class_names),
-            "generator": dataset.generator,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
     tensors = {
         "images": dataset.images,
         "labels": dataset.labels.astype(np.float64),
         "splits": dataset.split.astype(np.float64),
     }
-    container.write_container(path, tensors, meta)
+    meta = {"class_names": list(dataset.class_names), "generator": dataset.generator}
+    _write_artifact(path, "dataset", tensors, meta)
 
 
 def load_dataset(path) -> DatasetHandle:
-    tensors, meta = container.read_container(path)
+    tensors, info = _read_artifact(path, "dataset")
     try:
-        info = json.loads(meta)
-        if not isinstance(info, dict):
-            raise InvariantError(f"{path}: dataset metadata is not a JSON object")
-        if info.get("kind") != "dataset":
-            raise InvariantError(f"{path}: not a dataset container")
         names = info["class_names"]
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise InvariantError(f"{path}: class_names must be a JSON list of strings")
@@ -676,47 +686,36 @@ def load_dataset(path) -> DatasetHandle:
 def save_bundle(path, bundle: ModelBundle) -> None:
     bundle.validate()
     selector, selector_kind = bundle.ensemble.selector, bundle.selector_kind
-    meta = {
-        "kind": "bundle",
-        "selector": selector_kind,
-        "base_spec": _spec_to_json(bundle.base.spec),
-        "subset_specs": [_spec_to_json(net.spec) for net in bundle.ensemble.nets],
-        "selector_spec": _spec_to_json(selector.spec) if selector_kind == "network" else None,
-        "kmeans_seed": bundle.kmeans.seed,
-        "svm_lambda": bundle.svm.lam,
-        "svm_checkpoint_epochs": list(bundle.svm.checkpoint_epochs),
-        "provenance": bundle.provenance,
-    }
-    tensors: dict[str, np.ndarray] = {}
-    _params_to_tensors("base", bundle.base.params, tensors)
+    tensors: dict[str, np.ndarray] = {}  # its order is the file's
+    base_spec = _save_net("base", bundle.base, tensors)
     tensors["lda/projection"] = bundle.lda.projection
     tensors["lda/global_mean"] = bundle.lda.global_mean
     tensors["lda/eigenvalues"] = bundle.lda.eigenvalues
     tensors["cluster/class_to_subset"] = bundle.cluster_map.class_to_subset.astype(np.float64)
     tensors["kmeans/centroids"] = bundle.kmeans.centroids
     tensors["kmeans/inertia"] = np.asarray(bundle.kmeans.inertia)
-    for i, net in enumerate(bundle.ensemble.nets):
-        _params_to_tensors(f"subset/{i}", net.params, tensors)
-    if selector_kind == "network":
-        _params_to_tensors("selector", selector.params, tensors)
+    subset_specs = [_save_net(f"subset/{i}", net, tensors) for i, net in enumerate(bundle.ensemble.nets)]
+    selector_spec = _save_net("selector", selector, tensors) if selector_kind == "network" else None
     tensors["svm/weights"] = bundle.svm.weights
     tensors["svm/biases"] = bundle.svm.biases
     tensors["svm/checkpoint_objectives"] = bundle.svm.checkpoint_objectives
-    container.write_container(path, tensors, json.dumps(meta, sort_keys=True, separators=(",", ":")))
+    meta = {
+        "selector": selector_kind,
+        "base_spec": base_spec,
+        "subset_specs": subset_specs,
+        "selector_spec": selector_spec,
+        "kmeans_seed": bundle.kmeans.seed,
+        "svm_lambda": bundle.svm.lam,
+        "svm_checkpoint_epochs": list(bundle.svm.checkpoint_epochs),
+        "provenance": bundle.provenance,
+    }
+    _write_artifact(path, "bundle", tensors, meta)
 
 
 def load_bundle(path) -> ModelBundle:
     """Read a bundle written by save_bundle.  Older files also hold "k", "tap",
     "lda_out_dim" and each net's "classes", which the arrays give; they are ignored."""
-    tensors, meta = container.read_container(path)
-    try:
-        info = json.loads(meta)
-    except json.JSONDecodeError as exc:
-        raise InvariantError(f"{path}: malformed bundle metadata") from exc
-    if not isinstance(info, dict):
-        raise InvariantError(f"{path}: bundle metadata is not a JSON object")
-    if info.get("kind") != "bundle":
-        raise InvariantError(f"{path}: not a bundle container")
+    tensors, info = _read_artifact(path, "bundle")
     try:
         provenance = info["provenance"]
         if not isinstance(provenance, dict):
@@ -724,8 +723,7 @@ def load_bundle(path) -> ModelBundle:
         _json_int(provenance["seed"], "provenance seed")
         if not isinstance(provenance["graph"], str):
             raise InvariantError(f"{path}: provenance graph must be a string")
-        base_spec = _spec_from_json(info["base_spec"])
-        base = Network(base_spec, _params_from_tensors("base", base_spec, tensors))
+        base = _load_net("base", info["base_spec"], tensors)
         lda = LdaModel(
             projection=tensors["lda/projection"],
             global_mean=tensors["lda/global_mean"],
@@ -737,18 +735,13 @@ def load_bundle(path) -> ModelBundle:
             inertia=float(tensors["kmeans/inertia"]),
             seed=_json_int(info["kmeans_seed"], "kmeans_seed"),
         )
-        nets = []
-        for i, spec_obj in enumerate(info["subset_specs"]):
-            spec_i = _spec_from_json(spec_obj)
-            nets.append(Network(spec_i, _params_from_tensors(f"subset/{i}", spec_i, tensors)))
+        nets = tuple(_load_net(f"subset/{i}", spec_obj, tensors) for i, spec_obj in enumerate(info["subset_specs"]))
         if info["selector"] == "network":
-            spec_s = _spec_from_json(info["selector_spec"])
-            selector = Network(spec_s, _params_from_tensors("selector", spec_s, tensors))
+            selector = _load_net("selector", info["selector_spec"], tensors)
         elif info["selector"] == "centroid":
             selector = CentroidSelector(kmeans=kmeans, lda=lda)
         else:
             raise InvariantError(f"{path}: unknown selector kind {info['selector']!r}")
-        ensemble = SubsetEnsemble(nets=tuple(nets), selector=selector)
         svm = SvmModel(
             weights=tensors["svm/weights"],
             biases=tensors["svm/biases"],
@@ -763,7 +756,7 @@ def load_bundle(path) -> ModelBundle:
             lda=lda,
             cluster_map=cmap,
             kmeans=kmeans,
-            ensemble=ensemble,
+            ensemble=SubsetEnsemble(nets=nets, selector=selector),
             svm=svm,
             provenance=provenance,
         )
