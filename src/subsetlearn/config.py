@@ -78,12 +78,11 @@ class RunConfig:
         """Raise ConfigError, naming the key, if the target cannot train the
         system: fewer than two classes, k above its class count, no more train
         rows than classes (the LDA needs more), a class with no train row, or
-        an empty test split."""
+        an empty test split; or if a stage dataset has no train row."""
         target = datasets[self.target]
-        file_backed = "file" in self.datasets[self.target]
 
-        def key(name: str) -> str:
-            return f"[dataset.{self.target}] {'file' if file_backed else name}"
+        def key(name: str, ds_id: str = self.target) -> str:
+            return f"[dataset.{ds_id}] {'file' if 'file' in self.datasets[ds_id] else name}"
 
         n_classes = target.n_classes
         train = target.labels[target.split == TRAIN]
@@ -101,6 +100,9 @@ class RunConfig:
             raise ConfigError(f"{key('train_per_class')}: class {target.class_names[missing[0]]!r} has no train row")
         if not np.any(target.split == TEST):
             raise ConfigError(f"{key('test_per_class')}: the test split is empty")
+        for stage in self.stage_graph().stages:
+            if not np.any(datasets[stage.dataset].split == TRAIN):
+                raise ConfigError(f"{key('train_per_class', stage.dataset)}: the train split is empty")
 
 
 # (section, key) -> (owner, field, type) for every key of the fixed sections.

@@ -275,9 +275,11 @@ def run_stage_graph(
     the new stages; the returned net's arrays are read-only.
     """
     global _LAST_CHAIN
-    for stage in graph.stages:
+    for stage in graph.stages:  # checked for every stage before the first one trains
         if stage.dataset not in datasets:
             raise ContractError(f"stage graph references missing dataset {stage.dataset!r}")
+        if not np.any(datasets[stage.dataset].split == TRAIN):
+            raise ContractError(f"stage dataset {stage.dataset!r} has no train rows")
     last, chain = _LAST_CHAIN, []
     net: Network | None = None
     prefix = hashlib.sha256(repr(base_cfg).encode())
@@ -639,8 +641,8 @@ def _load_net(prefix: str, spec_obj, tensors: dict) -> Network:
 
 
 def _write_artifact(path, kind: str, tensors: dict, meta: dict) -> None:
-    meta = json.dumps({"kind": kind, **meta}, sort_keys=True, separators=(",", ":"))
-    container.write_container(path, tensors, meta)
+    text = json.dumps({"kind": kind, **meta}, sort_keys=True, separators=(",", ":"))
+    container.write_container(path, tensors, text)
 
 
 def _read_artifact(path, kind: str) -> tuple[dict, dict]:
@@ -648,7 +650,7 @@ def _read_artifact(path, kind: str) -> tuple[dict, dict]:
     tensors, meta = container.read_container(path)
     try:
         info = json.loads(meta)
-    except ValueError:  # not JSON
+    except ValueError:  # a JSONDecodeError, or an integer too long to convert
         info = None
     if not isinstance(info, dict):
         raise InvariantError(f"{path}: {kind} metadata is not a JSON object")
@@ -721,8 +723,9 @@ def load_bundle(path) -> ModelBundle:
         if not isinstance(provenance, dict):
             raise InvariantError(f"{path}: provenance must be a JSON object")
         _json_int(provenance["seed"], "provenance seed")
-        if not isinstance(provenance["graph"], str):
-            raise InvariantError(f"{path}: provenance graph must be a string")
+        graph = provenance["graph"]
+        if not isinstance(graph, str) or any(ch in graph for ch in ",\r\n"):  # a metrics.csv field holds it
+            raise InvariantError(f"{path}: provenance graph must be a string without commas or line breaks")
         base = _load_net("base", info["base_spec"], tensors)
         lda = LdaModel(
             projection=tensors["lda/projection"],

@@ -350,6 +350,8 @@ class TestEval:
             ("bundle-seed3.sfl", "svm_checkpoint_epochs", [1.0]),
             ("bundle-seed3.sfl", "provenance", {"graph": "target-rt", "steps": 1, "seed": "abc", "k": 2,
                                                 "selector": "network"}),
+            ("bundle-seed3.sfl", "provenance.graph", "target-rt,x\ny"),  # would split its metrics.csv row
+            ("bundle-seed3.sfl", "provenance.graph", "target-rt\rx"),
         ],
         ids=[  # fixed, so each case keeps its name when the list changes
             "target.sfl-class_names-abcdefgh",
@@ -359,6 +361,8 @@ class TestEval:
             "bundle-seed3.sfl-kmeans_seed-1.5",
             "bundle-seed3.sfl-svm_checkpoint_epochs-value8",
             "bundle-seed3.sfl-provenance-value9",
+            "bundle-seed3.sfl-provenance.graph-comma-lf",
+            "bundle-seed3.sfl-provenance.graph-cr",
         ],
     )
     def test_malformed_description_exit_3(self, tmp_path, trained, which, key, value):
@@ -368,8 +372,9 @@ class TestEval:
         def edit(info):
             if key == "base_spec":
                 info[key]["layers"][1] = value
-            elif key.startswith("base_spec."):
-                info["base_spec"][key.split(".")[1]] = value
+            elif "." in key:
+                section, field = key.split(".")
+                info[section][field] = value
             else:
                 info[key] = value
 
@@ -768,6 +773,19 @@ class TestConfigParsing:
         config = f"[run]\nseeds = 3\nk = 2\n\n[dataset.target]\nfile = {tmp_path / 'target.sfl'}\n"
         err = train_exits_2_untrained(tmp_path, monkeypatch, capsys, config)
         assert f"error: [dataset.target] file: {message}" in err
+
+    def test_file_stage_dataset_without_train_rows_exits_2(self, tmp_path, monkeypatch, capsys):
+        ds = pipeline.generate_synthetic(n_groups=2, classes_per_group=2, train_per_class=6, test_per_class=2, seed=1)
+        rows = ds.split == pipeline.TEST
+        pipeline.save_dataset(
+            tmp_path / "domain.sfl",
+            dataclasses.replace(ds, images=ds.images[rows], labels=ds.labels[rows], split=ds.split[rows]),
+        )
+        config = with_entry("dataset.domain", f"file = {tmp_path / 'domain.sfl'}") + (
+            "\n[graph]\nstages = target:rt domain:ft\n"
+        )
+        err = train_exits_2_untrained(tmp_path, monkeypatch, capsys, config)
+        assert "error: [dataset.domain] file: the train split is empty" in err
 
     def test_defaults_come_from_system_config(self, tmp_path):
         path = tmp_path / "minimal.ini"

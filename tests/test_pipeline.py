@@ -450,6 +450,20 @@ class TestStageGraph:
                 TrainConfig(epochs=1, batch_size=8),
             )
 
+    def test_stage_without_train_rows_fails_before_any_stage_trains(self, monkeypatch):
+        target = generate_synthetic(**{**TINY, "seed": 41})
+        domain = generate_synthetic(**{**TINY, "seed": 42})
+        domain = dataclasses.replace(domain, split=np.full_like(domain.split, pipeline.TEST))
+        calls, fit = [], convnet.fit
+        monkeypatch.setattr(convnet, "fit", lambda *args, **kwargs: calls.append(args) or fit(*args, **kwargs))
+        with pytest.raises(ContractError, match="'domain' has no train rows"):
+            run_stage_graph(
+                StageGraph((StageSpec("target", "rt"), StageSpec("domain", "ft"))),
+                {"target": target, "domain": domain},
+                TrainConfig(epochs=1, batch_size=8, seed=41),
+            )
+        assert calls == []
+
     def test_parse_stage_graph(self):
         graph = pipeline.parse_stage_graph("a:rt, b:ft:7")
         assert graph.stages[0] == StageSpec("a", "rt")
@@ -607,6 +621,17 @@ class TestBuildSystem:
         bundle.validate()
         assert bundle.provenance["graph"] == "target-rt"
         assert bundle.provenance["steps"] == 1
+
+    @pytest.mark.parametrize("layer", [0, 7])
+    def test_validate_rejects_a_subset_parameter_of_the_wrong_shape(self, tiny_bundle, layer):
+        _, bundle = tiny_bundle
+        net = bundle.ensemble.nets[0]
+        layers = list(net.params.layers)
+        layers[layer] = convnet.LayerParams(layers[layer].weight[:-1], layers[layer].bias)
+        nets = (dataclasses.replace(net, params=convnet.NetParams(tuple(layers))), *bundle.ensemble.nets[1:])
+        edited = dataclasses.replace(bundle, ensemble=dataclasses.replace(bundle.ensemble, nets=nets))
+        with pytest.raises(InvariantError, match=f"subset 0 layer {layer} is"):
+            edited.validate()
 
     def test_k1_degenerates_but_builds(self):
         ds = generate_synthetic(**TINY)
@@ -1035,6 +1060,12 @@ class TestPersistence:
         with pytest.raises(InvariantError):
             load_bundle(path)
 
+    def test_bundle_container_is_not_a_dataset(self, tmp_path, tiny_bundle):
+        path = tmp_path / "b.sfl"
+        save_bundle(path, tiny_bundle[1])
+        with pytest.raises(InvariantError, match="not a dataset container"):
+            load_dataset(path)
+
     @pytest.mark.parametrize(
         "name,edit",
         [
@@ -1064,7 +1095,7 @@ class TestPersistence:
         with pytest.raises(InvariantError, match="class_to_subset"):
             load_bundle(path)
 
-    @pytest.mark.parametrize("meta", ["[]", "null", "3", '"bundle"'])
+    @pytest.mark.parametrize("meta", ["[]", "null", "3", '"bundle"', "{"])
     def test_bundle_metadata_must_be_an_object(self, tmp_path, tiny_bundle, meta):
         path = tmp_path / "b.sfl"
         save_bundle(path, tiny_bundle[1])
@@ -1073,7 +1104,7 @@ class TestPersistence:
         with pytest.raises(InvariantError, match="not a JSON object"):
             load_bundle(path)
 
-    @pytest.mark.parametrize("meta", ["[]", "null", "3", '"dataset"'])
+    @pytest.mark.parametrize("meta", ["[]", "null", "3", '"dataset"', "{"])
     def test_dataset_metadata_must_be_an_object(self, tmp_path, meta):
         path = tmp_path / "ds.sfl"
         save_dataset(path, generate_synthetic(**TINY))
@@ -1081,6 +1112,16 @@ class TestPersistence:
         pipeline.container.write_container(path, tensors, meta)
         with pytest.raises(InvariantError, match="not a JSON object"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("kind", ["bundle", "dataset"])
+    def test_metadata_with_an_overlong_integer_is_malformed(self, tmp_path, saved_files, kind):
+        # json raises a plain ValueError, not a JSONDecodeError, for an integer this long
+        path = tmp_path / f"{kind}.sfl"
+        path.write_bytes(saved_files[kind])
+        tensors, _ = pipeline.container.read_container(path)
+        pipeline.container.write_container(path, tensors, "9" * 5000)
+        with pytest.raises(InvariantError, match="not a JSON object"):
+            (load_bundle if kind == "bundle" else load_dataset)(path)
 
     @pytest.mark.parametrize("names", ['"abcdefgh"', "[0, 1, 2, 3]", "null", '{"a": 1}'])
     def test_dataset_class_names_must_be_a_list_of_strings(self, tmp_path, names):
